@@ -32,7 +32,6 @@ from .chebyshev import (
     YGrid,
     cheb_nodes,
     dct,
-    dct_matrix,
     eval_expansion,
     eval_p,
     expansion,
@@ -44,22 +43,15 @@ from .chebyshev import (
 )
 from .filters import (
     VPLevel,
-    detail_norm_sq,
     detail_norms_sq,
-    detail_transform,
-    lowpass_weight,
     lowpass_weights,
-    scaling_norm_sq,
     scaling_norms_sq,
-    scaling_transform,
-    wavelet_interp_weights,
 )
 from .functions import REGISTRY, get_function
 from .mra import (
     MultiDecomposition,
     PyramidError,
     ThresholdReport,
-    analysis_matrices,
     decompose_multi,
     decompose_step,
     pyramid_from_json,

@@ -2,34 +2,31 @@
 
 V is spanned equivalently by the interpolating scaling functions (delta
 property on the n-point Chebyshev grid), by the orthonormal scaling
-functions, or by the modified Chebyshev polynomials of degrees 0..n-1.
+functions, or by the modified Chebyshev polynomials q_r of degrees 0..n-1.
 W, the orthogonal complement of V inside the level-3n approximation space,
 is spanned by interpolating wavelets (delta property on the complement
-grid), orthonormal wavelets, or modified Chebyshev polynomials of degrees
-n..3n-1.
+grid), orthonormal wavelets, or modified Chebyshev polynomials q~_r of
+degrees n..3n-1.
 
-Every basis element is exported as a ChebExpansion and evaluated through
-``eval_expansion``; the closed-form sums appear only in tests as oracles.
-The four O(n log n) coefficient transforms (node-indexed <-> degree-indexed,
-one pair per space) also live here; the multiresolution algorithms are
-built on top of them.
+Everything here composes the cosine transforms with maps written once, each
+acting on the last axis of its input: the band maps approx_spread (A: q_r to
+plain Chebyshev coefficients) and detail_spread (B: q~_r to plain), their
+transposes approx_gather and detail_gather, and the four O(n log n)
+coefficient transforms (node-indexed <-> degree-indexed, an orthogonal pair
+per space).  Every basis element is exported as a ChebExpansion, a basis
+matrix is the matching map applied to an identity, and the multiresolution
+algorithms are built on top of these maps.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import ChebExpansion, cheb_nodes, dct, eval_p_table, idct
-from .filters import (
-    VPLevel,
-    detail_norms_sq,
-    detail_transform,
-    lowpass_weights,
-    scaling_norms_sq,
-    scaling_transform,
-    wavelet_interp_weights,
-)
+from .chebyshev import ChebExpansion, dct, idct
+from .filters import VPLevel, detail_norms_sq, lowpass_weights, scaling_norms_sq
+
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -62,19 +59,83 @@ class DetailCoeffs:
         self.b.setflags(write=False)
 
 
+def _as_length(u, n: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0 or u.shape[-1] != n:
+        raise ValueError(f"expected a last axis of length {n}, got shape {u.shape}")
+    return u
+
+
+def approx_spread(t, level: VPLevel) -> np.ndarray:
+    """A: coefficients over q_0..q_{n-1} to p-coefficients of degrees 0..n+m-1.
+
+    q_r is p_r for r <= n-m and mu_r p_r - mu_{2n-r} p_{2n-r} on the ramp
+    n-m < r < n, so the ramp is mirrored across degree n (which stays empty).
+    """
+    n, m = level.n, level.m
+    mu = lowpass_weights(level)
+    t = _as_length(t, n)
+    c = np.zeros(t.shape[:-1] + (n + m,))
+    c[..., :n] = mu[:n] * t
+    c[..., n + m - 1:n:-1] = -mu[n + m - 1:n:-1] * t[..., n - m + 1:]
+    return c
+
+
+def approx_gather(c, level: VPLevel) -> np.ndarray:
+    """A^T: p-coefficients to the inner products with q_0..q_{n-1}.
+
+    Only degrees below n+m are read; anything beyond is orthogonal to V.
+    """
+    n, m = level.n, level.m
+    mu = lowpass_weights(level)
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 0 or c.shape[-1] < n + m:
+        raise ValueError(f"expected at least {n + m} coefficients, got shape {c.shape}")
+    t = mu[:n] * c[..., :n]
+    t[..., n - m + 1:] -= mu[n + m - 1:n:-1] * c[..., n + m - 1:n:-1]
+    return t
+
+
+def detail_spread(s, level: VPLevel) -> np.ndarray:
+    """B: coefficients over q~_n..q~_{3n-1} to p-coefficients of degrees 0..3n+m-1.
+
+    q~_r is mu_{2n-r} p_r + mu_r p_{2n-r} on the entry band n <= r < n+m
+    (the complement of the level-n ramp), and above it the level-(3n, m)
+    modified polynomial q_r, which is why degrees up to 3n+m-1 occur.
+    """
+    n, m = level.n, level.m
+    mu = lowpass_weights(level)
+    s = _as_length(s, 2 * n)
+    upper = np.zeros(s.shape[:-1] + (3 * n,))
+    upper[..., n + m:] = s[..., m:]
+    c = approx_spread(upper, VPLevel(3 * n, m))
+    c[..., n:n + m] += mu[n:n - m:-1] * s[..., :m]
+    c[..., n:n - m:-1] += mu[n:n + m] * s[..., :m]
+    return c
+
+
+def detail_gather(c, level: VPLevel) -> np.ndarray:
+    """B^T: p-coefficients to the inner products with q~_n..q~_{3n-1}.
+
+    Only degrees below 3n+m are read; anything beyond is orthogonal to W.
+    """
+    n, m = level.n, level.m
+    mu = lowpass_weights(level)
+    s = approx_gather(c, VPLevel(3 * n, m))[..., n:]
+    s[..., :m] = mu[n:n - m:-1] * c[..., n:n + m] + mu[n:n + m] * c[..., n:n - m:-1]
+    return s
+
+
 # ---------------------------------------------------------------------------
-# fast coefficient transforms
+# coefficient transforms: node-indexed <-> degree-indexed
 # ---------------------------------------------------------------------------
 
 def scaling_analysis(u, level: VPLevel) -> np.ndarray:
-    """Node-indexed to degree-indexed coefficients in the approximation space.
-
-    Fast form of multiplying by the scaling_transform matrix: a DCT with the
-    top n-m-1 entries rescaled by the basis norms.
-    """
-    u = _as_length(u, level.n)
-    t = dct(u)
-    t[level.n - level.m + 1:] /= np.sqrt(scaling_norms_sq(level)[level.n - level.m + 1:])
+    """Node-indexed to degree-indexed coefficients in the approximation space:
+    a DCT with the top n-m-1 entries rescaled by the basis norms."""
+    t = dct(_as_length(u, level.n))
+    ramp = level.n - level.m + 1
+    t[..., ramp:] /= np.sqrt(scaling_norms_sq(level)[ramp:])
     return t
 
 
@@ -84,51 +145,65 @@ def scaling_synthesis(t, level: VPLevel) -> np.ndarray:
     return idct(t / np.sqrt(scaling_norms_sq(level)))
 
 
+def _complement_scatter(u, n: int) -> np.ndarray:
+    """Values on the 2n complement nodes placed on the 3n-point grid (zero at
+    the n coarse nodes, positions 3k-1 in 1-based numbering)."""
+    w = np.zeros(u.shape[:-1] + (3 * n,))
+    w[..., 0::3] = u[..., 0::2]
+    w[..., 2::3] = u[..., 1::2]
+    return w
+
+
+def _fold(x, n: int) -> np.ndarray:
+    """Mirror the 3n DCT coefficients of a complement-grid vector onto the 2n
+    degrees of W: x_n; x_r + x_{2n-r} for n < r < 2n; x_{2n} + sqrt 2 x_0;
+    x_r for r > 2n.  It loses nothing for vectors vanishing on coarse nodes."""
+    f = np.empty(x.shape[:-1] + (2 * n,))
+    f[..., 0] = x[..., n]
+    f[..., 1:n] = x[..., n + 1:2 * n] + x[..., n - 1:0:-1]
+    f[..., n] = x[..., 2 * n] + SQRT2 * x[..., 0]
+    f[..., n + 1:] = x[..., 2 * n + 1:]
+    return f
+
+
+def _unfold(f, n: int) -> np.ndarray:
+    """Transpose of _fold."""
+    x = np.empty(f.shape[:-1] + (3 * n,))
+    x[..., 0] = SQRT2 * f[..., n]
+    x[..., 1:n] = f[..., n - 1:0:-1]
+    x[..., n] = f[..., 0]
+    x[..., n + 1:2 * n] = f[..., 1:n]
+    x[..., 2 * n] = f[..., n]
+    x[..., 2 * n + 1:] = f[..., n + 1:]
+    return x
+
+
+def _fold_scale(n: int) -> np.ndarray:
+    """Scale that makes the folded bands orthonormal: 1, 1/sqrt 2, 1/sqrt 3,
+    sqrt(3/2) on r = n, n < r < 2n, r = 2n, r > 2n."""
+    d = np.full(2 * n, 1.0 / SQRT2)
+    d[0] = 1.0
+    d[n] = 1.0 / math.sqrt(3.0)
+    d[n + 1:] = math.sqrt(1.5)
+    return d
+
+
 def detail_analysis(u, level: VPLevel) -> np.ndarray:
     """Apply the orthogonal 2n x 2n detail mixing matrix, output indexed by
-    degrees n..3n-1.
-
-    The input is scattered onto the complement positions of the 3n-point
-    grid, transformed, and the mirrored bands recombined.
-    """
-    u = _as_length(u, 2 * level.n)
+    degrees n..3n-1: scatter onto the 3n-point grid, DCT, fold the mirrored
+    bands."""
     n = level.n
-    w = np.zeros(3 * n)
-    w[0::3] = u[0::2]
-    w[2::3] = u[1::2]
-    x = dct(w)
-    s = np.empty(2 * n)
-    s[0] = x[n]
-    mid = np.arange(n + 1, 2 * n)
-    s[mid - n] = (x[mid] + x[2 * n - mid]) / np.sqrt(2.0)
-    s[n] = (x[2 * n] + np.sqrt(2.0) * x[0]) / np.sqrt(3.0)
-    hi = np.arange(2 * n + 1, 3 * n)
-    s[hi - n] = np.sqrt(1.5) * x[hi]
-    return s
+    x = dct(_complement_scatter(_as_length(u, 2 * n), n))
+    return _fold_scale(n) * _fold(x, n)
 
 
 def detail_synthesis(s, level: VPLevel) -> np.ndarray:
     """Inverse (= transpose) of detail_analysis."""
-    s = _as_length(s, 2 * level.n)
     n = level.n
-    w = np.zeros(3 * n)
-    w[0] = np.sqrt(2.0 / 3.0) * s[n]
-    w[1:n] = s[n - 1:0:-1] / np.sqrt(2.0)
-    w[n] = s[0]
-    w[n + 1:2 * n] = s[1:n] / np.sqrt(2.0)
-    w[2 * n] = s[n] / np.sqrt(3.0)
-    w[2 * n + 1:] = np.sqrt(1.5) * s[n + 1:]
-    x = idct(w)
-    u = np.empty(2 * n)
-    u[0::2] = x[0::3]
-    u[1::2] = x[2::3]
-    return u
-
-
-def _as_length(u, n: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise ValueError(f"expected a length-{n} sequence, got shape {u.shape}")
+    x = idct(_unfold(_fold_scale(n) * _as_length(s, 2 * n), n))
+    u = np.empty(x.shape[:-1] + (2 * n,))
+    u[..., 0::2] = x[..., 0::3]
+    u[..., 1::2] = x[..., 2::3]
     return u
 
 
@@ -136,127 +211,92 @@ def _as_length(u, n: int) -> np.ndarray:
 # expansions of the six basis families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def approx_scatter(level: VPLevel) -> np.ndarray:
-    """(n+m) x n map from modified-Chebyshev to plain Chebyshev coefficients.
+def _phi(u, level: VPLevel) -> np.ndarray:
+    """p-coefficients of sum_k u_k phi_k, phi_k = (pi/n) sum_r mu_r p_r(x_k) q_r."""
+    return math.sqrt(math.pi / level.n) * approx_spread(dct(u), level)
 
-    Column r is the p-expansion of the degree-r basis polynomial of V:
-    p_r itself for r <= n-m, and mu_r p_r - mu_{2n-r} p_{2n-r} on the ramp.
+
+def _phi_ortho(a, level: VPLevel) -> np.ndarray:
+    """p-coefficients of sum_k a_k (orthonormal scaling function k)."""
+    return approx_spread(scaling_analysis(a, level), level)
+
+
+def _psi(u, level: VPLevel) -> np.ndarray:
+    """p-coefficients of sum_k u_k psi_k over the interpolating wavelets.
+
+    psi_k = (pi/3n) sum_r w_r q~_r, where w is the fold of p_r(y_k) except on
+    the top band r > 2n, which adds the level-(n, m) ramp mix of p_{r-2n}.
     """
-    n, m = level.n, level.m
-    mu = lowpass_weights(level)
-    out = np.zeros((n + m, n))
-    for r in range(n):
-        if r <= n - m:
-            out[r, r] = 1.0
-        else:
-            out[r, r] = mu[r]
-            out[2 * n - r, r] = -mu[2 * n - r]
-    out.setflags(write=False)
-    return out
+    n = level.n
+    x = dct(_complement_scatter(u, n))
+    w = _fold(x, n)
+    w[..., n + 1:] += approx_gather(x, level)[..., 1:]
+    return math.sqrt(math.pi / (3 * n)) * detail_spread(w, level)
 
 
-@lru_cache(maxsize=None)
-def detail_scatter(level: VPLevel) -> np.ndarray:
-    """(3n+m) x 2n map from the detail orthogonal basis to Chebyshev coefficients.
+def _psi_ortho(b, level: VPLevel) -> np.ndarray:
+    """p-coefficients of sum_k b_k (orthonormal wavelet k)."""
+    return detail_spread(detail_analysis(b, level) / np.sqrt(detail_norms_sq(level)), level)
 
-    Column r-n is the p-expansion of the degree-r basis polynomial of W.  The
-    top band borrows the level-(3n, m) ramp, which is why degrees up to
-    3n+m-1 occur.
-    """
-    n, m = level.n, level.m
-    mu = lowpass_weights(level)
-    mu3 = lowpass_weights(VPLevel(3 * n, m))
-    out = np.zeros((3 * n + m, 2 * n))
-    for r in range(n, 3 * n):
-        c = r - n
-        if r < n + m:
-            out[2 * n - r, c] += mu[r]
-            out[r, c] += mu[2 * n - r]
-        elif r <= 3 * n - m:
-            out[r, c] = 1.0
-        else:
-            out[r, c] += mu3[r]
-            out[6 * n - r, c] -= mu3[6 * n - r]
-    out.setflags(write=False)
-    return out
+
+def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
+    """Unit vector of length ``count`` for ``index`` in [first, first+count-1]."""
+    if not first <= index < first + count:
+        raise ValueError(f"{what} {index} outside [{first}, {first + count - 1}]")
+    e = np.zeros(count)
+    e[index - first] = 1.0
+    return e
 
 
 def approx_basis(level: VPLevel, r: int) -> ChebExpansion:
     """Degree-r modified Chebyshev basis polynomial of V, r in [0, n-1]."""
-    if not 0 <= r <= level.n - 1:
-        raise ValueError(f"degree {r} outside [0, {level.n - 1}]")
-    return ChebExpansion(approx_scatter(level)[:, r].copy())
+    return ChebExpansion(approx_spread(_unit(r, 0, level.n, "degree"), level))
 
 
 def detail_basis(level: VPLevel, r: int) -> ChebExpansion:
     """Degree-r modified Chebyshev basis polynomial of W, r in [n, 3n-1]."""
-    if not level.n <= r <= 3 * level.n - 1:
-        raise ValueError(f"degree {r} outside [{level.n}, {3 * level.n - 1}]")
-    return ChebExpansion(detail_scatter(level)[:, r - level.n].copy())
+    return ChebExpansion(detail_spread(_unit(r, level.n, 2 * level.n, "degree"), level))
 
 
-@lru_cache(maxsize=None)
 def scaling_interp_matrix(level: VPLevel) -> np.ndarray:
     """(n+m) x n matrix; column k-1 is the expansion of the k-th interpolating
     scaling function (pi/n) sum_r mu_r p_r(x_k) p_r."""
-    n = level.n
-    table = eval_p_table(np.arange(n + level.m), cheb_nodes(n).nodes)
-    out = (np.pi / n) * lowpass_weights(level)[:, None] * table
-    out.setflags(write=False)
-    return out
+    return _phi(np.eye(level.n), level).T
 
 
-@lru_cache(maxsize=None)
 def scaling_ortho_matrix(level: VPLevel) -> np.ndarray:
     """(n+m) x n matrix of orthonormal scaling-function expansions."""
-    out = approx_scatter(level) @ scaling_transform(level)
-    out.setflags(write=False)
-    return out
+    return _phi_ortho(np.eye(level.n), level).T
 
 
-@lru_cache(maxsize=None)
 def wavelet_interp_matrix(level: VPLevel) -> np.ndarray:
     """(3n+m) x 2n matrix of interpolating wavelet expansions."""
-    n = level.n
-    out = detail_scatter(level) @ ((np.pi / (3 * n)) * wavelet_interp_weights(level))
-    out.setflags(write=False)
-    return out
+    return _psi(np.eye(2 * level.n), level).T
 
 
-@lru_cache(maxsize=None)
 def wavelet_ortho_matrix(level: VPLevel) -> np.ndarray:
     """(3n+m) x 2n matrix of orthonormal wavelet expansions."""
-    weights = detail_transform(level) / np.sqrt(detail_norms_sq(level))[:, None]
-    out = detail_scatter(level) @ weights
-    out.setflags(write=False)
-    return out
-
-
-def _column(matrix: np.ndarray, k: int, count: int, what: str) -> ChebExpansion:
-    if not 1 <= k <= count:
-        raise ValueError(f"{what} index {k} outside [1, {count}]")
-    return ChebExpansion(matrix[:, k - 1].copy())
+    return _psi_ortho(np.eye(2 * level.n), level).T
 
 
 def scaling_interp(level: VPLevel, k: int) -> ChebExpansion:
     """k-th interpolating scaling function (Kronecker delta on the node grid)."""
-    return _column(scaling_interp_matrix(level), k, level.n, "scaling")
+    return ChebExpansion(_phi(_unit(k, 1, level.n, "scaling index"), level))
 
 
 def scaling_ortho(level: VPLevel, k: int) -> ChebExpansion:
     """k-th orthonormal scaling function (localized near node k, not interpolating)."""
-    return _column(scaling_ortho_matrix(level), k, level.n, "scaling")
+    return ChebExpansion(_phi_ortho(_unit(k, 1, level.n, "scaling index"), level))
 
 
 def wavelet_interp(level: VPLevel, k: int) -> ChebExpansion:
     """k-th interpolating wavelet (Kronecker delta on the complement grid)."""
-    return _column(wavelet_interp_matrix(level), k, 2 * level.n, "wavelet")
+    return ChebExpansion(_psi(_unit(k, 1, 2 * level.n, "wavelet index"), level))
 
 
 def wavelet_ortho(level: VPLevel, k: int) -> ChebExpansion:
     """k-th orthonormal wavelet."""
-    return _column(wavelet_ortho_matrix(level), k, 2 * level.n, "wavelet")
+    return ChebExpansion(_psi_ortho(_unit(k, 1, 2 * level.n, "wavelet index"), level))
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +305,12 @@ def wavelet_ortho(level: VPLevel, k: int) -> ChebExpansion:
 
 def scaling_to_cheb(c: ScalingCoeffs) -> ChebExpansion:
     """Chebyshev expansion of sum_k a_k (orthonormal scaling function k)."""
-    t = scaling_analysis(c.a, c.level)
-    return ChebExpansion(approx_scatter(c.level) @ t)
+    return ChebExpansion(_phi_ortho(c.a, c.level))
 
 
 def detail_to_cheb(d: DetailCoeffs) -> ChebExpansion:
     """Chebyshev expansion of sum_k b_k (orthonormal wavelet k)."""
-    level = d.level
-    s = detail_analysis(d.b, level) / np.sqrt(detail_norms_sq(level))
-    return ChebExpansion(detail_scatter(level) @ s)
+    return ChebExpansion(_psi_ortho(d.b, d.level))
 
 
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:

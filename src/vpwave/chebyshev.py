@@ -11,8 +11,8 @@ DCT-II / DCT-III pair written against this normalization: for length N,
     dct(v)[r]  = sqrt(pi/N) * sum_k v[k] p_r(x_k),     x_k in cheb_nodes(N),
     idct(v)[k] = sqrt(pi/N) * sum_r v[r] p_r(x_k),
 
-so idct is simultaneously the transpose and the inverse of dct.  A dense
-O(N^2) reference matrix is provided next to the O(N log N) fast path.
+so idct is simultaneously the transpose and the inverse of dct.  Both act
+along the last axis, so a stack of sequences is transformed at once.
 """
 
 import math
@@ -97,37 +97,20 @@ def eval_p_table(degrees, x) -> np.ndarray:
 
 
 def dct(v) -> np.ndarray:
-    """Fast orthonormal DCT-II of a length-N sequence (see module docstring)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("dct expects a nonempty 1-d sequence")
-    return scipy.fft.dct(v, type=2, norm="ortho")
+    """Fast orthonormal DCT-II along the last axis (see module docstring)."""
+    return scipy.fft.dct(_nonempty(v), type=2, norm="ortho")
 
 
 def idct(v) -> np.ndarray:
-    """Fast orthonormal DCT-III (transpose/inverse of dct)."""
+    """Fast orthonormal DCT-III along the last axis (transpose/inverse of dct)."""
+    return scipy.fft.idct(_nonempty(v), type=2, norm="ortho")
+
+
+def _nonempty(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("idct expects a nonempty 1-d sequence")
-    return scipy.fft.idct(v, type=2, norm="ortho")
-
-
-def dct_matrix(n: int) -> np.ndarray:
-    """Dense reference matrix D with dct(v) = D @ v and idct(v) = D.T @ v.
-
-    The angles r (2k-1) pi / (2n) are reduced modulo 2 pi in exact integer
-    arithmetic before the cosine, so the reference stays at roundoff level
-    even for large n.
-    """
-    if n < 1:
-        raise ValueError(f"transform size must be positive, got {n}")
-    k = np.arange(1, n + 1, dtype=np.int64)
-    r = np.arange(n, dtype=np.int64)[:, None]
-    reduced = (r * (2 * k - 1)) % (4 * n)
-    mat = np.cos(reduced * (np.pi / (2 * n)))
-    mat *= math.sqrt(2.0 / n)
-    mat[0] = math.sqrt(1.0 / n)
-    return mat
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("the cosine transforms expect a nonempty last axis")
+    return v
 
 
 def gauss_cheb_quad(f, n: int) -> float:

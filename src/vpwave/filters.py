@@ -2,23 +2,17 @@
 
 The free parameter m controls the width of the lowpass ramp that turns a
 truncated Chebyshev sum into a delayed (de la Vallee Poussin type) mean.
-Four families parameterize every basis and transform in this package:
+Three families parameterize every basis and transform in this package:
 
 * lowpass_weights   -- the ramp filter (1 on degrees <= n-m, linear decay
                        across (n-m, n+m), 0 beyond),
 * scaling_norms_sq  -- squared norms of the modified Chebyshev basis of the
                        approximation space (degrees 0..n-1),
 * detail_norms_sq   -- squared norms of the modified Chebyshev basis of the
-                       detail space (degrees n..3n-1),
-* scaling_transform / detail_transform -- the orthogonal mixing matrices that
-                       map node-indexed coefficients to degree-indexed ones,
-* wavelet_interp_weights -- expansion weights of the interpolating wavelets
-                       in the orthogonal detail basis.
+                       detail space (degrees n..3n-1).
 
-All family arrays are cached per level and returned read-only.  Degree
-indices r are absolute polynomial degrees; node indices k are 1-based in the
-scalar accessors (matching the natural numbering of the node grids) and
-0-based rows/columns in the matrices.
+Each is an O(n) array, cached per level and returned read-only.  The maps
+built from them live in :mod:`vpwave.bases`.
 """
 
 import math
@@ -26,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .chebyshev import cheb_nodes, eval_p_table, y_nodes
 
 
 @dataclass(frozen=True)
@@ -59,14 +51,6 @@ def lowpass_weights(level: VPLevel) -> np.ndarray:
     return out
 
 
-def lowpass_weight(level: VPLevel, r: int) -> float:
-    if r < 0:
-        raise ValueError(f"degree must be nonnegative, got {r}")
-    if r >= level.n + level.m:
-        return 0.0
-    return float(lowpass_weights(level)[r])
-
-
 @lru_cache(maxsize=None)
 def scaling_norms_sq(level: VPLevel) -> np.ndarray:
     """Squared norms of the approximation-space orthogonal basis, degrees 0..n-1."""
@@ -75,12 +59,6 @@ def scaling_norms_sq(level: VPLevel) -> np.ndarray:
     out = np.where(r <= n - m, 1.0, (m * m + (n - r) ** 2) / (2.0 * m * m))
     out.setflags(write=False)
     return out
-
-
-def scaling_norm_sq(level: VPLevel, r: int) -> float:
-    if not 0 <= r <= level.n - 1:
-        raise ValueError(f"degree {r} outside [0, {level.n - 1}]")
-    return float(scaling_norms_sq(level)[r])
 
 
 @lru_cache(maxsize=None)
@@ -99,91 +77,3 @@ def detail_norms_sq(level: VPLevel) -> np.ndarray:
     out[hi] = (m * m + (3 * n - r[hi]) ** 2) / (2.0 * m * m)
     out.setflags(write=False)
     return out
-
-
-def detail_norm_sq(level: VPLevel, r: int) -> float:
-    if not level.n <= r <= 3 * level.n - 1:
-        raise ValueError(f"degree {r} outside [{level.n}, {3 * level.n - 1}]")
-    return float(detail_norms_sq(level)[r - level.n])
-
-
-@lru_cache(maxsize=None)
-def scaling_transform(level: VPLevel) -> np.ndarray:
-    """n x n matrix sqrt(pi / (n * norm_sq_r)) p_r(x_k); rows r, columns k-1.
-
-    Rows are orthogonal with squared norm 1/norm_sq_r.  Although the node
-    values do not depend on m, the normalization does, which is why the
-    level (and not just n) is required.
-    """
-    n = level.n
-    table = eval_p_table(np.arange(n), cheb_nodes(n).nodes)
-    out = np.sqrt(np.pi / (n * scaling_norms_sq(level)))[:, None] * table
-    out.setflags(write=False)
-    return out
-
-
-def scaling_transform_entry(level: VPLevel, r: int, k: int) -> float:
-    if not 0 <= r <= level.n - 1:
-        raise ValueError(f"degree {r} outside [0, {level.n - 1}]")
-    if not 1 <= k <= level.n:
-        raise ValueError(f"node index {k} outside [1, {level.n}]")
-    return float(scaling_transform(level)[r, k - 1])
-
-
-@lru_cache(maxsize=None)
-def detail_transform(level: VPLevel) -> np.ndarray:
-    """Orthogonal 2n x 2n matrix over the complement grid; rows r-n, columns k-1.
-
-    Row for degree r holds sqrt(pi/3n) times p_n(y_k), (p_r + p_{2n-r})(y_k)/sqrt 2,
-    (p_{2n} + sqrt 2 p_0)(y_k)/sqrt 3, or sqrt(3/2) p_r(y_k) on the four bands
-    r = n, n < r < 2n, r = 2n, 2n < r < 3n.
-    """
-    n = level.n
-    table = eval_p_table(np.arange(3 * n), y_nodes(n).nodes)
-    out = np.empty((2 * n, 2 * n))
-    out[0] = table[n]
-    mid = np.arange(n + 1, 2 * n)
-    out[mid - n] = (table[mid] + table[2 * n - mid]) / math.sqrt(2.0)
-    out[n] = (table[2 * n] + math.sqrt(2.0) * table[0]) / math.sqrt(3.0)
-    hi = np.arange(2 * n + 1, 3 * n)
-    out[hi - n] = math.sqrt(1.5) * table[hi]
-    out *= math.sqrt(math.pi / (3 * n))
-    out.setflags(write=False)
-    return out
-
-
-def detail_transform_entry(level: VPLevel, r: int, k: int) -> float:
-    if not level.n <= r <= 3 * level.n - 1:
-        raise ValueError(f"degree {r} outside [{level.n}, {3 * level.n - 1}]")
-    if not 1 <= k <= 2 * level.n:
-        raise ValueError(f"node index {k} outside [1, {2 * level.n}]")
-    return float(detail_transform(level)[r - level.n, k - 1])
-
-
-@lru_cache(maxsize=None)
-def wavelet_interp_weights(level: VPLevel) -> np.ndarray:
-    """2n x 2n weights expanding the interpolating wavelets in the detail basis."""
-    n, m = level.n, level.m
-    mu = lowpass_weights(level)
-    table = eval_p_table(np.arange(3 * n + m), y_nodes(n).nodes)
-    out = np.empty((2 * n, 2 * n))
-    for r in range(n, 3 * n):
-        if r == n:
-            row = table[n]
-        elif r == 2 * n:
-            row = table[2 * n] + math.sqrt(2.0) * table[0]
-        elif r <= 3 * n - m:
-            row = table[r] + table[abs(2 * n - r)]
-        else:
-            row = table[r] + mu[r - 2 * n] * table[r - 2 * n] - mu[4 * n - r] * table[4 * n - r]
-        out[r - n] = row
-    out.setflags(write=False)
-    return out
-
-
-def wavelet_interp_weight(level: VPLevel, r: int, k: int) -> float:
-    if not level.n <= r <= 3 * level.n - 1:
-        raise ValueError(f"degree {r} outside [{level.n}, {3 * level.n - 1}]")
-    if not 1 <= k <= 2 * level.n:
-        raise ValueError(f"node index {k} outside [1, {2 * level.n}]")
-    return float(wavelet_interp_weights(level)[r - level.n, k - 1])

@@ -1,12 +1,12 @@
-"""Factor-3 multiresolution analysis: one-step splits, dense reference
-matrices, multilevel pyramids, thresholding and pyramid serialization.
+"""Factor-3 multiresolution analysis: one-step splits, multilevel pyramids,
+thresholding and pyramid serialization.
 
 A coefficient vector on the level-3n approximation space splits into a
 coarse scaling vector (length n) and a detail vector (length 2n) through an
 orthogonal 3n x 3n map, so reconstruction is exact and energy is preserved.
-The fast path runs in O(n log n) via the coefficient transforms of
-:mod:`vpwave.bases`; ``analysis_matrices`` builds the equivalent dense pair
-for reference and testing.
+Both directions run in O(n log n): the coefficients go to plain Chebyshev
+form and back through the band maps and coefficient transforms of
+:mod:`vpwave.bases`.
 """
 
 import json
@@ -18,18 +18,14 @@ import numpy as np
 from .bases import (
     DetailCoeffs,
     ScalingCoeffs,
-    detail_analysis,
+    approx_gather,
+    detail_gather,
     detail_synthesis,
-    scaling_analysis,
+    detail_to_cheb,
     scaling_synthesis,
+    scaling_to_cheb,
 )
-from .filters import (
-    VPLevel,
-    detail_norms_sq,
-    detail_transform,
-    lowpass_weights,
-    scaling_transform,
-)
+from .filters import VPLevel, detail_norms_sq
 from .operators import discrete_proj
 
 
@@ -47,26 +43,9 @@ def decompose_step(fine: ScalingCoeffs) -> tuple[ScalingCoeffs, DetailCoeffs]:
     if m >= n:
         raise ValueError(f"m={m} too large to split down to n={n}")
     level = VPLevel(n, m)
-    mu = lowpass_weights(level)
-    v = detail_norms_sq(level)
-
-    t = scaling_analysis(fine.a, level3)
-
-    w = np.empty(n)
-    w[: n - m + 1] = t[: n - m + 1]
-    ramp = np.arange(n - m + 1, n)
-    w[ramp] = mu[ramp] * t[ramp] - mu[2 * n - ramp] * t[2 * n - ramp]
-    a = scaling_synthesis(w, level)
-
-    u = np.empty(2 * n)
-    lo = np.arange(n, n + m)
-    u[lo - n] = (mu[lo] * t[2 * n - lo] + mu[2 * n - lo] * t[lo]) / np.sqrt(v[lo - n])
-    mid = np.arange(n + m, 3 * n - m + 1)
-    u[mid - n] = t[mid] / np.sqrt(v[mid - n])
-    hi = np.arange(3 * n - m + 1, 3 * n)
-    u[hi - n] = t[hi] * np.sqrt(v[hi - n])
-    b = detail_synthesis(u, level)
-
+    c = scaling_to_cheb(fine).coeffs
+    a = scaling_synthesis(approx_gather(c, level), level)
+    b = detail_synthesis(detail_gather(c, level) / np.sqrt(detail_norms_sq(level)), level)
     return ScalingCoeffs(level, a), DetailCoeffs(level, b)
 
 
@@ -74,60 +53,11 @@ def reconstruct_step(a: ScalingCoeffs, b: DetailCoeffs) -> ScalingCoeffs:
     """Exact inverse of decompose_step."""
     if a.level != b.level:
         raise ValueError(f"level mismatch: scaling {a.level} vs detail {b.level}")
-    level = a.level
-    n, m = level.n, level.m
-    level3 = VPLevel(3 * n, m)
-    mu = lowpass_weights(level)
-    v = detail_norms_sq(level)
-
-    alpha = scaling_analysis(a.a, level)
-    beta = detail_analysis(b.b, level) / np.sqrt(v)
-
-    t = np.empty(3 * n)
-    t[: n - m + 1] = alpha[: n - m + 1]
-    ramp = np.arange(n - m + 1, n)
-    t[ramp] = alpha[ramp] * mu[ramp] + beta[2 * n - ramp - n] * mu[2 * n - ramp]
-    t[n] = beta[0]
-    lo = np.arange(n + 1, n + m)
-    t[lo] = beta[lo - n] * mu[2 * n - lo] - alpha[2 * n - lo] * mu[lo]
-    mid = np.arange(n + m, 3 * n - m + 1)
-    t[mid] = beta[mid - n]
-    hi = np.arange(3 * n - m + 1, 3 * n)
-    t[hi] = beta[hi - n] * v[hi - n]
-
-    return ScalingCoeffs(level3, scaling_synthesis(t, level3))
-
-
-def analysis_matrices(level: VPLevel) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (n x 3n, 2n x 3n) matrices of the one-step split at ``level``.
-
-    Stacked on top of each other they form an orthogonal 3n x 3n matrix, so
-    the transposes reconstruct.  This is the O(n^2) reference path for
-    decompose_step / reconstruct_step.
-    """
-    n, m = level.n, level.m
-    t3 = scaling_transform(VPLevel(3 * n, m))
-    tn = scaling_transform(level)
-    mu = lowpass_weights(level)
-    v = detail_norms_sq(level)
-
-    g = np.empty((n, 3 * n))
-    g[: n - m + 1] = t3[: n - m + 1]
-    ramp = np.arange(n - m + 1, n)
-    g[ramp] = mu[ramp, None] * t3[ramp] - mu[2 * n - ramp, None] * t3[2 * n - ramp]
-    a_mat = tn.T @ g
-
-    h = np.empty((2 * n, 3 * n))
-    lo = np.arange(n, n + m)
-    h[lo - n] = ((mu[lo, None] * t3[2 * n - lo] + mu[2 * n - lo, None] * t3[lo])
-                 / np.sqrt(v[lo - n, None]))
-    mid = np.arange(n + m, 3 * n - m + 1)
-    h[mid - n] = t3[mid] / np.sqrt(v[mid - n, None])
-    hi = np.arange(3 * n - m + 1, 3 * n)
-    h[hi - n] = t3[hi] * np.sqrt(v[hi - n, None])
-    b_mat = detail_transform(level).T @ h
-
-    return a_mat, b_mat
+    level3 = VPLevel(3 * a.level.n, a.level.m)
+    coarse = scaling_to_cheb(a).coeffs
+    c = detail_to_cheb(b).coeffs.copy()
+    c[:coarse.size] += coarse
+    return ScalingCoeffs(level3, scaling_synthesis(approx_gather(c, level3), level3))
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +121,9 @@ def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecompo
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (n_top,):
         raise ValueError(f"expected {n_top} samples, got {samples.shape}")
-    a = discrete_proj(samples, VPLevel(n_top, m))
-    details: list[DetailCoeffs] = []
-    for _ in range(levels):
-        a, b = decompose_step(a)
-        details.append(b)
-    details.reverse()
-    return MultiDecomposition(theta, a, tuple(details))
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    return _split_down(discrete_proj(samples, VPLevel(n_top, m)), levels, theta)
 
 
 def reconstruct_multi(decomp: MultiDecomposition) -> ScalingCoeffs:
@@ -215,13 +141,18 @@ def redecompose(top: ScalingCoeffs, decomp: MultiDecomposition) -> MultiDecompos
     if top.level.n != decomp.top_n:
         raise PyramidError(
             f"top coefficients at n={top.level.n}, pyramid expects {decomp.top_n}")
+    return _split_down(top, decomp.levels, decomp.theta)
+
+
+def _split_down(top: ScalingCoeffs, levels: int, theta: float) -> MultiDecomposition:
+    """The pyramid stage: ``levels`` one-step splits starting from ``top``."""
     a = top
     details: list[DetailCoeffs] = []
-    for _ in range(decomp.levels):
+    for _ in range(levels):
         a, b = decompose_step(a)
         details.append(b)
     details.reverse()
-    return MultiDecomposition(decomp.theta, a, tuple(details))
+    return MultiDecomposition(theta, a, tuple(details))
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +228,19 @@ def pyramid_to_json(decomp: MultiDecomposition) -> str:
 
 
 def pyramid_from_json(text: str) -> MultiDecomposition:
-    """Parse a pyramid document, validating the level chain."""
+    """Parse a pyramid document, validating types, finiteness and the level chain."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PyramidError(f"malformed pyramid JSON: {exc}") from exc
     try:
         theta = float(doc["theta"])
-        n0 = int(doc["n0"])
-        levels = int(doc["L"])
-        base_vals = np.asarray(doc["base"], dtype=float)
+        n0 = _json_int(doc["n0"])
+        levels = _json_int(doc["L"])
+        base_vals = _finite_values(doc["base"])
         raw_details = doc["details"]
+        if not isinstance(raw_details, list):
+            raise TypeError(f"details must be a list, got {raw_details!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise PyramidError(f"pyramid document missing or mistyped fields: {exc}") from exc
     if len(raw_details) != levels:
@@ -323,8 +256,8 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
     n = n0
     for entry in raw_details:
         try:
-            dn, dm = int(entry["n"]), int(entry["m"])
-            vals = np.asarray(entry["b"], dtype=float)
+            dn, dm = _json_int(entry["n"]), _json_int(entry["m"])
+            vals = _finite_values(entry["b"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PyramidError(f"bad detail entry: {exc}") from exc
         if dn != n or dm != m:
@@ -336,3 +269,18 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
         details.append(DetailCoeffs(VPLevel(dn, dm), vals))
         n *= 3
     return MultiDecomposition(theta, base, tuple(details))
+
+
+def _json_int(value) -> int:
+    """A JSON integer; floats such as 5.7 (or 5.0) and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _finite_values(values) -> np.ndarray:
+    """Coefficients as floats; the NaN and Infinity tokens are refused."""
+    out = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("coefficients must be finite")
+    return out

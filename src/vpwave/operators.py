@@ -25,9 +25,10 @@ import numpy as np
 
 from .bases import (
     ScalingCoeffs,
-    approx_scatter,
+    approx_gather,
+    approx_spread,
     scaling_interp_matrix,
-    scaling_ortho_matrix,
+    scaling_synthesis,
     scaling_to_cheb,
 )
 from .chebyshev import (
@@ -40,7 +41,7 @@ from .chebyshev import (
     probe_grid,
     sup_error,
 )
-from .filters import VPLevel, lowpass_weights, scaling_norms_sq
+from .filters import VPLevel, scaling_norms_sq
 
 
 class OperatorKind(enum.Enum):
@@ -69,19 +70,14 @@ class LebesgueReport:
 
 def proj_kernel(level: VPLevel, x: float, y: float) -> float:
     """Reproducing kernel of the projection onto V at (x, y)."""
-    sc = approx_scatter(level)
-    degs = np.arange(sc.shape[0])
-    qx = sc.T @ eval_p_table(degs, x)[:, 0]
-    qy = sc.T @ eval_p_table(degs, y)[:, 0]
-    return float(np.sum(qx * qy / scaling_norms_sq(level)))
+    py = eval_p_table(np.arange(level.n + level.m), y)[:, 0]
+    return float(_kernel_sections(level, [x])[0] @ py)
 
 
-def _kernel_coeff_columns(level: VPLevel, xs: np.ndarray) -> np.ndarray:
-    """(n+m) x len(xs) matrix; column j is the expansion of kernel(xs[j], .)."""
-    sc = approx_scatter(level)
-    px = eval_p_table(np.arange(sc.shape[0]), xs)
-    qx = sc.T @ px
-    return sc @ (qx / scaling_norms_sq(level)[:, None])
+def _kernel_sections(level: VPLevel, xs: np.ndarray) -> np.ndarray:
+    """len(xs) x (n+m) matrix; row j is the expansion of kernel(xs[j], .)."""
+    p = eval_p_table(np.arange(level.n + level.m), xs).T
+    return approx_spread(approx_gather(p, level) / scaling_norms_sq(level), level)
 
 
 def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> ScalingCoeffs:
@@ -95,10 +91,12 @@ def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> Scal
         n_quad = 16 * (n + m)
     if n_quad < n:
         raise ValueError(f"quadrature size {n_quad} underresolves the projection (n={n})")
-    xs = cheb_nodes(n_quad).nodes
-    basis_vals = scaling_ortho_matrix(level).T @ eval_p_table(np.arange(n + m), xs)
-    fvals = np.asarray(f(xs), dtype=float)
-    return ScalingCoeffs(level, (np.pi / n_quad) * (basis_vals @ fvals))
+    # g_r = (pi/N) sum_k f(x_k) p_r(x_k); on the N-point grid p_N vanishes and
+    # p_r = -p_{2N-r}, which supplies the degrees N < r < n+m when N is small
+    g = np.sqrt(np.pi / n_quad) * dct(np.asarray(f(cheb_nodes(n_quad).nodes), dtype=float))
+    if n_quad < n + m:
+        g = np.concatenate([g, [0.0], -g[n_quad - 1:2 * n_quad - n - m:-1]])
+    return ScalingCoeffs(level, scaling_synthesis(approx_gather(g, level), level))
 
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
@@ -114,16 +112,9 @@ def vp_interp(samples, level: VPLevel) -> ChebExpansion:
     """Interpolating mean of the samples: the element of V matching them on
     the node grid, as a Chebyshev expansion of degree <= n+m-1."""
     samples = np.asarray(samples, dtype=float)
-    n, m = level.n, level.m
-    if samples.shape != (n,):
-        raise ValueError(f"expected {n} samples, got {samples.shape}")
-    d = dct(samples)
-    mu = lowpass_weights(level)
-    c = np.zeros(n + m)
-    c[:n] = np.sqrt(np.pi / n) * mu[:n] * d
-    hi = np.arange(n + 1, n + m)
-    c[hi] = -np.sqrt(np.pi / n) * mu[hi] * d[2 * n - hi]
-    return ChebExpansion(c)
+    if samples.shape != (level.n,):
+        raise ValueError(f"expected {level.n} samples, got {samples.shape}")
+    return ChebExpansion(np.sqrt(np.pi / level.n) * approx_spread(dct(samples), level))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +142,7 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray, rtol: float = 1e-6,
     change (it may exceed rtol if the doubling budget ran out).
     """
     degs = level.n + level.m
-    coeff = _kernel_coeff_columns(level, xs)
+    sections = _kernel_sections(level, xs)
     n_panels = 10 * degs
     prev = None
     achieved = np.inf
@@ -161,7 +152,7 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray, rtol: float = 1e-6,
         vals = np.empty(len(xs))
         step = max(1, int(1e7 // max(len(theta), 1)))
         for j in range(0, len(xs), step):
-            vals[j:j + step] = np.abs(coeff[:, j:j + step].T @ table) @ w
+            vals[j:j + step] = np.abs(sections[j:j + step] @ table) @ w
         if prev is not None:
             achieved = float(np.max(np.abs(vals - prev)) / np.max(vals))
             if achieved < rtol:
@@ -172,14 +163,9 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray, rtol: float = 1e-6,
 
 
 def _lambda_node_sum(level: VPLevel, xs: np.ndarray) -> np.ndarray:
-    n = level.n
-    sc = approx_scatter(level)
-    # at the nodes the modified basis coincides with the plain one, so the
-    # kernel sections kernel(x_i, .) expand directly over the node table
-    node_table = eval_p_table(np.arange(n), cheb_nodes(n).nodes)
-    coeff = sc @ (node_table / scaling_norms_sq(level)[:, None])
-    vals = coeff.T @ eval_p_table(np.arange(sc.shape[0]), xs)
-    return (np.pi / n) * np.abs(vals).sum(axis=0)
+    sections = _kernel_sections(level, cheb_nodes(level.n).nodes)
+    vals = sections @ eval_p_table(np.arange(level.n + level.m), xs)
+    return (np.pi / level.n) * np.abs(vals).sum(axis=0)
 
 
 def _lambda_interp_sum(level: VPLevel, xs: np.ndarray) -> np.ndarray:

@@ -1,0 +1,182 @@
+"""Dense reference maps for the test suite, written from the defining formulas.
+
+Nothing here calls vpwave.  Cosine tables are evaluated with the angle
+r (2k-1) reduced modulo 4N in exact integer arithmetic, and the ramp, the
+basis columns and their norms are spelled out entry by entry, so every
+fast-versus-dense check compares two different code paths.  Levels are
+passed as any object with integer attributes ``n`` and ``m``.
+
+Notation: p_r is the orthonormal Chebyshev polynomial of degree r, mu the
+ramp of level (n, m), q_r (0 <= r < n) the modified Chebyshev basis of V and
+q~_r (n <= r < 3n) that of W, with squared norms nu_r and v_r.
+"""
+
+import math
+
+import numpy as np
+
+
+def cheb_zeros(n: int) -> np.ndarray:
+    k = np.arange(1, n + 1)
+    return np.cos(((2 * k - 1) / (2 * n)) * np.pi)
+
+
+def cheb_table(degrees, n: int, nodes=None) -> np.ndarray:
+    """p_r at the zeros of the n-point grid, shape (len(degrees), len(nodes));
+    ``nodes`` holds 1-based node indices k (default: all n).
+
+    The integers r (2k-1) stay below 2^53, so they and their remainder modulo
+    4n are exact in float64; working in place keeps one array of the table's
+    size in memory.
+    """
+    r = np.asarray(degrees, dtype=float)[:, None]
+    k = np.arange(1, n + 1) if nodes is None else np.asarray(nodes)
+    out = r * (2.0 * k - 1.0)
+    np.mod(out, 4.0 * n, out=out)
+    out *= np.pi / (2 * n)
+    np.cos(out, out=out)
+    out *= np.where(r == 0, 1.0 / math.sqrt(math.pi), math.sqrt(2.0 / math.pi))
+    return out
+
+
+def dct_matrix(n: int) -> np.ndarray:
+    """D with dct(v) = D @ v and idct(v) = D.T @ v."""
+    return math.sqrt(math.pi / n) * cheb_table(np.arange(n), n)
+
+
+def ramp(n: int, m: int) -> np.ndarray:
+    """mu_r for degrees 0..n+m-1."""
+    r = np.arange(n + m)
+    return np.where(r <= n - m, 1.0, (n + m - r) / (2.0 * m))
+
+
+def _approx_columns(n: int, m: int) -> list:
+    """q_r as [(degree, coefficient), ...]: p_r, or mu_r p_r - mu_{2n-r} p_{2n-r}."""
+    mu = ramp(n, m)
+    return [[(r, 1.0)] if r <= n - m else [(r, mu[r]), (2 * n - r, -mu[2 * n - r])]
+            for r in range(n)]
+
+
+def _detail_columns(n: int, m: int) -> list:
+    """q~_r as [(degree, coefficient), ...]: mu_{2n-r} p_r + mu_r p_{2n-r} on
+    n <= r < n+m, p_r up to 3n-m, then the level-(3n, m) ramp."""
+    mu, mu3 = ramp(n, m), ramp(3 * n, m)
+    cols = []
+    for r in range(n, 3 * n):
+        if r < n + m:
+            cols.append([(r, mu[2 * n - r]), (2 * n - r, mu[r])])
+        elif r <= 3 * n - m:
+            cols.append([(r, 1.0)])
+        else:
+            cols.append([(r, mu3[r]), (6 * n - r, -mu3[6 * n - r])])
+    return cols
+
+
+def _dense(columns: list, rows: int) -> np.ndarray:
+    out = np.zeros((rows, len(columns)))
+    for j, col in enumerate(columns):
+        for degree, coeff in col:
+            out[degree, j] += coeff
+    return out
+
+
+def _norms_sq(columns: list) -> np.ndarray:
+    out = []
+    for col in columns:
+        merged = {}
+        for degree, coeff in col:
+            merged[degree] = merged.get(degree, 0.0) + coeff
+        out.append(sum(c * c for c in merged.values()))
+    return np.array(out)
+
+
+def approx_scatter(level) -> np.ndarray:
+    """(n+m) x n; column r holds the p-coefficients of q_r."""
+    return _dense(_approx_columns(level.n, level.m), level.n + level.m)
+
+
+def detail_scatter(level) -> np.ndarray:
+    """(3n+m) x 2n; column r-n holds the p-coefficients of q~_r."""
+    return _dense(_detail_columns(level.n, level.m), 3 * level.n + level.m)
+
+
+def approx_norms_sq(level) -> np.ndarray:
+    return _norms_sq(_approx_columns(level.n, level.m))
+
+
+def detail_norms_sq(level) -> np.ndarray:
+    return _norms_sq(_detail_columns(level.n, level.m))
+
+
+def _scaling_transform(n: int, m: int) -> np.ndarray:
+    nu = _norms_sq(_approx_columns(n, m))
+    return np.sqrt(np.pi / (n * nu))[:, None] * cheb_table(np.arange(n), n)
+
+
+def scaling_transform(level) -> np.ndarray:
+    """n x n matrix sqrt(pi / (n nu_r)) p_r(x_k); rows r, columns k-1."""
+    return _scaling_transform(level.n, level.m)
+
+
+def detail_transform(level) -> np.ndarray:
+    """Orthogonal 2n x 2n matrix over the complement grid; rows r-n, columns k-1.
+
+    The complement nodes y are the 3n-grid zeros k = 1, 3, 4, 6, ... (k != 2
+    mod 3).  Row r holds sqrt(pi/3n) times p_n(y), (p_r + p_{2n-r})(y)/sqrt 2,
+    (p_{2n} + sqrt 2 p_0)(y)/sqrt 3, or sqrt(3/2) p_r(y) on the four bands
+    r = n, n < r < 2n, r = 2n, 2n < r < 3n.
+    """
+    n = level.n
+    k = np.arange(1, 3 * n + 1)
+    table = cheb_table(np.arange(3 * n), 3 * n, k[k % 3 != 2])
+    out = np.empty((2 * n, 2 * n))
+    for r in range(n, 3 * n):
+        if r == n:
+            row = table[n]
+        elif r < 2 * n:
+            row = (table[r] + table[2 * n - r]) / math.sqrt(2.0)
+        elif r == 2 * n:
+            row = (table[2 * n] + math.sqrt(2.0) * table[0]) / math.sqrt(3.0)
+        else:
+            row = math.sqrt(1.5) * table[r]
+        out[r - n] = row
+    return math.sqrt(math.pi / (3 * n)) * out
+
+
+def analysis_matrices(level) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (n x 3n, 2n x 3n) matrices of the one-step split at ``level``.
+
+    Column j of the fine side is the orthonormal level-(3n, m) scaling
+    function j in p-coefficients (the fine scatter applied to the fine
+    transform); its inner products with q_r and q~_r / sqrt(v_r) are mapped
+    to node coefficients by the transposed coarse transforms.
+    """
+    n, m = level.n, level.m
+    t3 = _scaling_transform(3 * n, m)
+    fine = np.zeros((3 * n + m, 3 * n))
+    for r, col in enumerate(_approx_columns(3 * n, m)):
+        for degree, coeff in col:
+            fine[degree] += coeff * t3[r]
+    del t3
+
+    def inner_products(columns):
+        out = np.zeros((len(columns), 3 * n))
+        for j, col in enumerate(columns):
+            for degree, coeff in col:
+                out[j] += coeff * fine[degree]
+        return out
+
+    g = inner_products(_approx_columns(n, m))
+    detail_cols = _detail_columns(n, m)
+    h = inner_products(detail_cols) / np.sqrt(_norms_sq(detail_cols))[:, None]
+    del fine
+    return scaling_transform(level).T @ g, detail_transform(level).T @ h
+
+
+def fourier_proj(f, level, n_quad: int) -> np.ndarray:
+    """Orthonormal coefficients (pi/N) sum_j phi_k(x_j) f(x_j) of the projection
+    onto V, with every scaling function phi_k tabulated on the N-point grid."""
+    n, m = level.n, level.m
+    phi = approx_scatter(level) @ scaling_transform(level)
+    values = phi.T @ cheb_table(np.arange(n + m), n_quad)
+    return (np.pi / n_quad) * (values @ f(cheb_zeros(n_quad)))

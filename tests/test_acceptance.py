@@ -7,7 +7,8 @@ import time
 
 import numpy as np
 import pytest
-from util import max_dev, quad_gram
+from oracles import analysis_matrices, detail_transform, scaling_transform
+from util import max_dev, quad_gram, split_matrices
 
 from vpwave.bases import (
     ScalingCoeffs,
@@ -30,7 +31,6 @@ from vpwave.cli import main
 from vpwave.filters import VPLevel
 from vpwave.functions import get_function
 from vpwave.mra import (
-    analysis_matrices,
     decompose_multi,
     decompose_step,
     pyramid_from_json,
@@ -79,7 +79,7 @@ def test_criterion_2_interpolation_deltas():
 
 @pytest.mark.parametrize("n,m", [(13, 6), (27, 13), (81, 40)])
 def test_criterion_3_stacked_orthogonality(n, m):
-    a_mat, b_mat = analysis_matrices(VPLevel(n, m))
+    a_mat, b_mat = split_matrices(VPLevel(n, m))
     q = np.vstack([a_mat, b_mat])
     dev = max_dev(q @ q.T, np.eye(3 * n))
     report(3, f"stacked split matrix orthogonal ({n},{m})", dev < 1e-11,
@@ -114,7 +114,6 @@ def test_criterion_5_fast_dense_equivalence_and_speed():
         scaling_analysis,
         scaling_synthesis,
     )
-    from vpwave.filters import detail_transform, scaling_transform
 
     level = VPLevel(13, 6)
     u = rng.standard_normal(13)
@@ -138,7 +137,7 @@ def test_criterion_5_fast_dense_equivalence_and_speed():
         max_dev(reconstruct_step(a, b).a, a_mat.T @ a.a + b_mat.T @ b.b),
     )
 
-    # wall-clock at 3n = 6561 against the dense matrix application
+    # wall-clock at 3n = 6561 against the dense matrices of the test oracle
     n3 = 6561
     big = VPLevel(n3 // 3, n3 // 6)
     a_big, b_big = analysis_matrices(big)

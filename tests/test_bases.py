@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import approx_scatter, detail_scatter
 from util import max_dev, quad_gram
 
 from vpwave.bases import (
     DetailCoeffs,
     ScalingCoeffs,
     approx_basis,
-    approx_scatter,
+    approx_gather,
+    approx_spread,
     detail_basis,
-    detail_scatter,
+    detail_gather,
+    detail_spread,
     detail_to_cheb,
     ortho_to_values,
     scaling_interp,
@@ -60,7 +63,8 @@ def test_expansion_of_ramp_basis_at_a_node():
 
 
 def test_approx_basis_orthogonality():
-    gram = quad_gram(approx_scatter(L136), approx_scatter(L136), 4 * (13 + 6))
+    q = approx_spread(np.eye(13), L136).T
+    gram = quad_gram(q, q, 4 * (13 + 6))
     assert max_dev(gram, np.diag(scaling_norms_sq(L136))) < 1e-12
 
 
@@ -75,10 +79,28 @@ def test_detail_basis_middle_band_is_plain_chebyshev():
 def test_detail_basis_orthogonality_and_complement():
     from vpwave.filters import detail_norms_sq
 
-    gram = quad_gram(detail_scatter(L136), detail_scatter(L136), 8 * 13)
+    q = approx_spread(np.eye(13), L136).T
+    qd = detail_spread(np.eye(26), L136).T
+    gram = quad_gram(qd, qd, 8 * 13)
     assert max_dev(gram, np.diag(detail_norms_sq(L136))) < 1e-12
-    cross = quad_gram(detail_scatter(L136), approx_scatter(L136), 8 * 13)
+    cross = quad_gram(qd, q, 8 * 13)
     assert np.abs(cross).max() < 1e-12
+
+
+@pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), VPLevel(4, 3),
+                                   L136, VPLevel(60, 59)])
+def test_band_maps_match_dense_scatter(level):
+    # the slice-only maps against the oracle's entry-by-entry scatter, on
+    # the edges m = 1 (empty ramp) and m = n - 1 (ramp over all of V) too
+    n, m = level.n, level.m
+    a, b = approx_scatter(level), detail_scatter(level)
+    rng = np.random.default_rng(n + m)
+    t, s = rng.standard_normal((4, n)), rng.standard_normal((4, 2 * n))
+    c = rng.standard_normal((4, 3 * n + m))
+    assert max_dev(approx_spread(t, level), t @ a.T) < 1e-14
+    assert max_dev(detail_spread(s, level), s @ b.T) < 1e-14
+    assert max_dev(approx_gather(c, level), c[:, :n + m] @ a) < 1e-14
+    assert max_dev(detail_gather(c, level), c @ b) < 1e-14
 
 
 def test_basis_index_validation():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import dct_matrix
 
 from vpwave.chebyshev import (
     cheb_nodes,
     dct,
-    dct_matrix,
     eval_expansion,
     eval_p,
     expansion,
@@ -105,6 +105,10 @@ def test_fast_matches_dense(n):
     d = dct_matrix(n)
     assert_allclose(dct(v), d @ v, rtol=0, atol=1e-12)
     assert_allclose(idct(v), d.T @ v, rtol=0, atol=1e-12)
+    # a stack of sequences is transformed along its last axis
+    stack = rng.standard_normal((3, n))
+    assert_allclose(dct(stack), stack @ d.T, rtol=0, atol=1e-12)
+    assert_allclose(idct(stack), stack @ d, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 243, 1000])
@@ -133,6 +137,10 @@ def test_dct_rejects_empty():
         dct([])
     with pytest.raises(ValueError):
         idct([])
+    with pytest.raises(ValueError):
+        dct(np.empty((2, 0)))
+    with pytest.raises(ValueError):
+        idct(1.0)
 
 
 def test_quadrature_basic():

@@ -144,11 +144,13 @@ def test_decompose_determinism_and_sample_files(tmp_path):
 
 def test_decompose_malformed_samples(tmp_path):
     sfile = tmp_path / "bad.csv"
-    sfile.write_text("1.0\nnot-a-number\n")
-    code = main(["decompose", "--samples", str(sfile), "--n0", "5",
-                 "--levels", "0", "--theta", "0.5", "--out", str(tmp_path / "x.json")])
-    assert code == 2
-    assert not (tmp_path / "x.json").exists()
+    for text in ("1.0\nnot-a-number\n", "1.0\n2.0\nnan\n4.0\n5.0\n",
+                 "1.0\n2.0\ninf\n4.0\n5.0\n"):
+        sfile.write_text(text)
+        code = main(["decompose", "--samples", str(sfile), "--n0", "5",
+                     "--levels", "0", "--theta", "0.5", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_decompose_wrong_sample_count(tmp_path):
@@ -173,9 +175,13 @@ def test_reconstruct_level_chain_mismatch(tmp_path):
 
 def test_reconstruct_malformed_json(tmp_path):
     pyr = tmp_path / "pyr.json"
-    pyr.write_text("{broken")
-    code = main(["reconstruct", "--pyramid", str(pyr), "--out", str(tmp_path / "r.csv")])
-    assert code == 3
+    for text in ("{broken",
+                 '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": null}',
+                 '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, NaN, 0, 0, 0], "details": []}'):
+        pyr.write_text(text)
+        code = main(["reconstruct", "--pyramid", str(pyr), "--out", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_level_zero_decompose_reconstruct(tmp_path, capsys):

@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vpwave.chebyshev import eval_p, y_nodes
-from vpwave.filters import (
-    VPLevel,
-    detail_norm_sq,
-    detail_norms_sq,
-    detail_transform,
-    detail_transform_entry,
-    lowpass_weight,
-    lowpass_weights,
-    scaling_norm_sq,
-    scaling_norms_sq,
-    scaling_transform,
-    scaling_transform_entry,
-    wavelet_interp_weight,
-    wavelet_interp_weights,
+from vpwave.bases import (
+    detail_analysis,
+    detail_gather,
+    scaling_analysis,
+    scaling_synthesis,
+    wavelet_interp,
 )
+from vpwave.chebyshev import cheb_nodes, eval_p, y_nodes
+from vpwave.filters import VPLevel, detail_norms_sq, lowpass_weights, scaling_norms_sq
 
 L136 = VPLevel(13, 6)
 
@@ -35,31 +28,27 @@ def test_level_validation():
 
 
 def test_lowpass_values():
-    assert lowpass_weight(L136, 5) == 1.0
-    assert lowpass_weight(L136, 13) == 0.5
-    assert lowpass_weight(L136, 18) == pytest.approx(1 / 12)
-    assert lowpass_weight(L136, 19) == 0.0
-    assert lowpass_weight(L136, 1000) == 0.0
-    with pytest.raises(ValueError):
-        lowpass_weight(L136, -1)
+    mu = lowpass_weights(L136)
+    assert mu[5] == 1.0
+    assert mu[13] == 0.5
+    assert mu[18] == pytest.approx(1 / 12)
+    assert mu.shape == (19,)  # the ramp vanishes from degree n+m on
 
 
 def test_scaling_norm_values():
-    assert scaling_norm_sq(L136, 7) == 1.0
-    assert scaling_norm_sq(L136, 12) == pytest.approx(37 / 72)
-    assert scaling_norm_sq(L136, 8) == pytest.approx(61 / 72)
-    with pytest.raises(ValueError):
-        scaling_norm_sq(L136, 13)
+    nus = scaling_norms_sq(L136)
+    assert nus[7] == 1.0
+    assert nus[12] == pytest.approx(37 / 72)
+    assert nus[8] == pytest.approx(61 / 72)
+    assert nus.shape == (13,)
 
 
 def test_detail_norm_values():
-    assert detail_norm_sq(L136, 13) == 1.0
-    assert detail_norm_sq(L136, 14) == pytest.approx(37 / 72)
-    assert detail_norm_sq(L136, 38) == pytest.approx(37 / 72)
-    with pytest.raises(ValueError):
-        detail_norm_sq(L136, 39)
-    with pytest.raises(ValueError):
-        detail_norm_sq(L136, 12)
+    v = detail_norms_sq(L136)  # entry i is degree 13 + i
+    assert v[0] == 1.0
+    assert v[1] == pytest.approx(37 / 72)
+    assert v[25] == pytest.approx(37 / 72)
+    assert v.shape == (26,)
 
 
 def test_lowpass_complementarity_on_ramp():
@@ -107,51 +96,48 @@ def test_ramp_monotonicity():
 
 
 def test_scaling_transform_row_zero():
-    lvl = VPLevel(4, 2)
-    assert_allclose(scaling_transform(lvl)[0], np.full(4, 0.5), rtol=0, atol=1e-15)
+    # row 0 of the node-to-degree transform, read through its transpose
+    impulse = np.array([1.0, 0, 0, 0])
+    assert_allclose(scaling_synthesis(impulse, VPLevel(4, 2)), np.full(4, 0.5),
+                    rtol=0, atol=1e-15)
 
 
 def test_scaling_transform_row_orthogonality():
-    t = scaling_transform(L136)
-    gram = t @ t.T
+    rows = scaling_synthesis(np.eye(13), L136)  # row r of the transform
+    gram = rows @ rows.T
     assert np.abs(gram - np.diag(1.0 / scaling_norms_sq(L136))).max() < 1e-12
 
 
 def test_scaling_transform_entry_formula():
-    from vpwave.chebyshev import cheb_nodes
-
+    # degree 12, first node: sqrt(pi / (13 * 37/72)) p_12(x_1)
     x1 = cheb_nodes(13).nodes[0]
     expected = math.sqrt(math.pi / (13 * 37 / 72)) * eval_p(12, x1)
-    assert scaling_transform_entry(L136, 12, 1) == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(ValueError):
-        scaling_transform_entry(L136, 13, 1)
-    with pytest.raises(ValueError):
-        scaling_transform_entry(L136, 3, 14)
+    first_node = np.eye(13)[0]
+    assert scaling_analysis(first_node, L136)[12] == pytest.approx(expected, abs=1e-15)
 
 
 def test_detail_transform_closed_form_entries():
     # (n, m) = (2, 1), degree n, first node: sqrt(pi/6) p_2(cos(pi/12)) = 1/2
-    assert detail_transform_entry(VPLevel(2, 1), 2, 1) == pytest.approx(0.5, abs=1e-13)
+    assert detail_analysis(np.eye(4)[0], VPLevel(2, 1))[0] == pytest.approx(0.5, abs=1e-13)
     # (13, 6), degree 2n, first node: closed form sqrt(1/26)
-    assert detail_transform_entry(L136, 26, 1) == pytest.approx(
+    assert detail_analysis(np.eye(26)[0], L136)[13] == pytest.approx(
         math.sqrt(1 / 26), abs=1e-13)
-    with pytest.raises(ValueError):
-        detail_transform_entry(L136, 12, 1)
 
 
 def test_detail_transform_orthogonal():
-    s = detail_transform(L136)
+    s = detail_analysis(np.eye(26), L136)  # row k is column k of the transform
     assert np.abs(s @ s.T - np.eye(26)).max() < 1e-12
 
 
 def test_wavelet_interp_weight_branches():
+    # psi_k = (pi/3n) sum_r w_r q~_r, so w = (3n/pi) B^T psi_k / v
     n = 13
     y = y_nodes(n).nodes
     for k in (1, 9, 26):
-        assert wavelet_interp_weight(L136, n, k) == pytest.approx(
-            eval_p(n, y[k - 1]), abs=1e-15)
+        psi = wavelet_interp(L136, k).coeffs
+        w = 3 * n / math.pi * detail_gather(psi, L136) / detail_norms_sq(L136)
+        assert w[0] == pytest.approx(eval_p(n, y[k - 1]), abs=1e-13)
         expected = eval_p(2 * n, y[k - 1]) + math.sqrt(2) / math.sqrt(math.pi)
-        assert wavelet_interp_weight(L136, 2 * n, k) == pytest.approx(expected, abs=1e-15)
+        assert w[n] == pytest.approx(expected, abs=1e-13)
     with pytest.raises(ValueError):
-        wavelet_interp_weight(L136, 39, 1)
-    assert wavelet_interp_weights(L136).shape == (26, 26)
+        wavelet_interp(L136, 27)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from util import max_dev
+from oracles import analysis_matrices, detail_transform, scaling_transform
+from util import max_dev, split_matrices
 
 from vpwave.bases import (
     DetailCoeffs,
@@ -14,12 +15,11 @@ from vpwave.bases import (
     scaling_to_cheb,
 )
 from vpwave.chebyshev import cheb_nodes, eval_series, probe_grid
-from vpwave.filters import VPLevel, detail_transform, scaling_transform
+from vpwave.filters import VPLevel
 from vpwave.functions import get_function
 from vpwave.mra import (
     MultiDecomposition,
     PyramidError,
-    analysis_matrices,
     decompose_multi,
     decompose_step,
     pyramid_from_json,
@@ -166,7 +166,7 @@ def test_zero_detail_reconstruction_embeds_same_function():
 
 @pytest.mark.parametrize("level", [VPLevel(13, 6), VPLevel(27, 13), VPLevel(81, 40)])
 def test_stacked_analysis_matrices_orthogonal(level):
-    a_mat, b_mat = analysis_matrices(level)
+    a_mat, b_mat = split_matrices(level)
     q = np.vstack([a_mat, b_mat])
     assert max_dev(q @ q.T, np.eye(3 * level.n)) < 1e-11
     assert np.abs(a_mat @ b_mat.T).max() < 1e-11
@@ -238,6 +238,11 @@ def test_decompose_multi_sum_of_parts():
 def test_decompose_multi_validation():
     with pytest.raises(ValueError):
         decompose_multi(np.zeros(100), 64, 1, 0.7)  # wrong sample count
+    for bad in (np.nan, np.inf):
+        samples = np.zeros(15)
+        samples[4] = bad
+        with pytest.raises(ValueError):
+            decompose_multi(samples, 5, 1, 0.5)  # non-finite sample
     with pytest.raises(ValueError):
         decompose_multi(np.zeros(8), 2, 1, 0.7)  # n0 too small for theta
     with pytest.raises(ValueError):
@@ -321,15 +326,33 @@ def test_pyramid_json_round_trip_bit_exact():
     assert pyramid_to_json(back) == text
 
 
+_BAD_PYRAMIDS = [
+    "{not json",
+    '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
+    '"details": [{"n": 6, "m": 2, "b": [0]}]}',
+    # null details, non-integral sizes, non-finite tokens
+    '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": null}',
+    '{"theta": 0.5, "n0": 5.7, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": 0.5, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5.0, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": "5", "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": false, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
+    '"details": [{"n": 5.5, "m": 2, "b": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}',
+    '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
+    '"details": [{"n": 5, "m": 2.9, "b": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}',
+    '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, NaN, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
+    '"details": [{"n": 5, "m": 2, "b": [0, 0, 0, -Infinity, 0, 0, 0, 0, 0, 0]}]}',
+    '{"theta": NaN, "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+]
+
+
 def test_pyramid_json_validation():
-    with pytest.raises(PyramidError):
-        pyramid_from_json("{not json")
-    with pytest.raises(PyramidError):
-        pyramid_from_json('{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
-                          '"details": []}')
-    with pytest.raises(PyramidError):
-        pyramid_from_json('{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
-                          '"details": [{"n": 6, "m": 2, "b": [0]}]}')
+    for text in _BAD_PYRAMIDS:
+        with pytest.raises(PyramidError):
+            pyramid_from_json(text)
 
 
 def test_multidecomposition_chain_validation():

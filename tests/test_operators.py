@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import fourier_proj as dense_fourier_proj
 from util import max_dev
 
 from vpwave.bases import (
@@ -93,6 +94,14 @@ def test_fourier_proj_annihilates_wavelets():
     f = lambda x: eval_series(wavelet_ortho(L136, 3).coeffs, x)
     c = fourier_proj(f, L136, n_quad=200)
     assert np.abs(c.a).max() < 1e-11
+
+
+@pytest.mark.parametrize("n_quad", [13, 16, 18, 19, 20, 304])
+def test_fourier_proj_matches_dense_quadrature(n_quad):
+    # n <= n_quad < n+m: the top degrees of V alias onto lower ones on the grid
+    f = lambda x: np.exp(np.sin(3 * x)) + np.abs(x - 0.1)
+    fast = fourier_proj(f, L136, n_quad=n_quad).a
+    assert max_dev(fast, dense_fourier_proj(f, L136, n_quad)) < 1e-13
 
 
 def test_fourier_proj_rejects_underresolved_quadrature():

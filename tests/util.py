@@ -1,8 +1,11 @@
-"""Shared oracles for the test suite."""
+"""Shared helpers for the test suite."""
 
 import numpy as np
 
+from vpwave.bases import ScalingCoeffs
 from vpwave.chebyshev import cheb_nodes, eval_p_table
+from vpwave.filters import VPLevel
+from vpwave.mra import decompose_step
 
 
 def quad_gram(coeffs_a, coeffs_b, n_quad):
@@ -17,3 +20,12 @@ def quad_gram(coeffs_a, coeffs_b, n_quad):
 
 def max_dev(actual, expected):
     return float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
+
+
+def split_matrices(level):
+    """(n x 3n, 2n x 3n) matrices of the fast one-step split at ``level``,
+    one decompose_step per unit vector of the level-(3n, m) space."""
+    fine = VPLevel(3 * level.n, level.m)
+    parts = [decompose_step(ScalingCoeffs(fine, e)) for e in np.eye(fine.n)]
+    return (np.column_stack([a.a for a, _ in parts]),
+            np.column_stack([b.b for _, b in parts]))
