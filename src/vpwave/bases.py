@@ -264,21 +264,6 @@ def scaling_interp_matrix(level: VPLevel) -> np.ndarray:
     return _phi(np.eye(level.n), level).T
 
 
-def scaling_ortho_matrix(level: VPLevel) -> np.ndarray:
-    """(n+m) x n matrix of orthonormal scaling-function expansions."""
-    return _phi_ortho(np.eye(level.n), level).T
-
-
-def wavelet_interp_matrix(level: VPLevel) -> np.ndarray:
-    """(3n+m) x 2n matrix of interpolating wavelet expansions."""
-    return _psi(np.eye(2 * level.n), level).T
-
-
-def wavelet_ortho_matrix(level: VPLevel) -> np.ndarray:
-    """(3n+m) x 2n matrix of orthonormal wavelet expansions."""
-    return _psi_ortho(np.eye(2 * level.n), level).T
-
-
 def scaling_interp(level: VPLevel, k: int) -> ChebExpansion:
     """k-th interpolating scaling function (Kronecker delta on the node grid)."""
     return ChebExpansion(_phi(_unit(k, 1, level.n, "scaling index"), level))

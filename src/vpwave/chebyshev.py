@@ -148,21 +148,17 @@ def expansion(coeffs) -> ChebExpansion:
     return ChebExpansion(coeffs)
 
 
-def eval_series(coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate sum_r c_r p_r via theta = arccos x and the cosine recurrence."""
+def eval_series(coeffs, x) -> np.ndarray:
+    """Sum_r c_r p_r(x) along the last axis of coeffs, from cos(r arccos x), taking
+    the degrees in blocks of about 2^20 table entries rather than in one table."""
     x = np.atleast_1d(_check_domain(x))
     c = np.asarray(coeffs, dtype=float)
-    acc = np.full_like(x, c[0] * SQRT_1_PI)
-    if len(c) > 1:
-        cos1 = np.cos(np.arccos(x))
-        prev = np.ones_like(x)
-        cur = cos1.copy()
-        acc += SQRT_2_PI * c[1] * cur
-        for r in range(2, len(c)):
-            prev, cur = cur, 2.0 * cos1 * cur - prev
-            if c[r] != 0.0:
-                acc += SQRT_2_PI * c[r] * cur
-    return acc
+    out = np.zeros(c.shape[:-1] + (x.size,))
+    step = max(1, (1 << 20) // (x.size or 1))
+    for start in range(0, c.shape[-1], step):
+        block = c[..., start:start + step]
+        out += block @ eval_p_table(np.arange(start, start + block.shape[-1]), x)
+    return out.reshape(c.shape[:-1] + x.shape)
 
 
 def eval_expansion(e: ChebExpansion, x):
@@ -176,6 +172,22 @@ def probe_grid(grid_size: int) -> np.ndarray:
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
     return np.cos(np.arange(grid_size + 1) * (np.pi / grid_size))
+
+
+def probe_values(coeffs, grid_size: int) -> np.ndarray:
+    """Sum_r c_r p_r on probe_grid(grid_size) along the last axis, by one DCT-I.
+    On the grid p_r = p_{2M-r} = p_{r+2M}, so degrees >= M fold back first."""
+    if grid_size < 1:
+        raise ValueError(f"grid size must be positive, got {grid_size}")
+    c = np.asarray(coeffs, dtype=float)
+    c = c * np.where(np.arange(c.shape[-1]) == 0, SQRT_1_PI, SQRT_2_PI)
+    a = np.zeros(c.shape[:-1] + (grid_size + 1,))
+    for start in range(0, c.shape[-1], 2 * grid_size):
+        block = c[..., start:start + 2 * grid_size]
+        a[..., :block.shape[-1]] += block[..., :grid_size + 1]
+        a[..., 2 * grid_size + 1 - block.shape[-1]:grid_size] += block[..., :grid_size:-1]
+    a[..., 1:grid_size] *= 0.5
+    return scipy.fft.dct(a, type=1, axis=-1, overwrite_x=True)
 
 
 def sup_error(f, g, grid_size: int = 10000) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__, bases
 from .bases import ortho_to_values
-from .chebyshev import cheb_nodes, eval_series, probe_grid
+from .chebyshev import cheb_nodes, probe_grid, probe_values
 from .filters import VPLevel
 from .functions import get_function
 from .mra import (
@@ -26,7 +26,14 @@ from .mra import (
 )
 from .operators import LebesgueKind, OperatorKind, error_curve, lebesgue_const
 
-_BASIS_FAMILIES = ("phi", "phi-ortho", "psi", "psi-ortho", "q", "q-tilde")
+_BASIS_BUILDERS = {
+    "phi": bases.scaling_interp,
+    "phi-ortho": bases.scaling_ortho,
+    "psi": bases.wavelet_interp,
+    "psi-ortho": bases.wavelet_ortho,
+    "q": bases.approx_basis,
+    "q-tilde": bases.detail_basis,
+}
 
 
 def _fmt(x: float) -> str:
@@ -109,8 +116,6 @@ def _read_samples(path: str) -> np.ndarray:
     try:
         with open(path) as fh:
             values = [float(line.strip()) for line in fh if line.strip()]
-    except OSError as exc:
-        raise ValueError(f"cannot read sample file {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"malformed sample file {path!r}: {exc}") from exc
     if not values:
@@ -155,17 +160,9 @@ def cmd_basis(args) -> int:
     idx = getattr(args, index_kind)
     if idx is None:
         raise ValueError(f"family {args.family!r} needs --{index_kind}")
-    builders = {
-        "phi": bases.scaling_interp,
-        "phi-ortho": bases.scaling_ortho,
-        "psi": bases.wavelet_interp,
-        "psi-ortho": bases.wavelet_ortho,
-        "q": bases.approx_basis,
-        "q-tilde": bases.detail_basis,
-    }
-    exp = builders[args.family](level, idx)
+    exp = _BASIS_BUILDERS[args.family](level, idx)
     xs = probe_grid(args.grid)
-    vals = eval_series(exp.coeffs, xs)
+    vals = probe_values(exp.coeffs, args.grid)
     lines = ["x,value"]
     lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals))
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("basis", help="sample one basis function on the probe grid")
-    p.add_argument("--family", required=True, choices=_BASIS_FAMILIES)
+    p.add_argument("--family", required=True, choices=list(_BASIS_BUILDERS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, help="node index (phi/psi families)")
@@ -233,7 +230,7 @@ def main(argv=None) -> int:
     except PyramidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

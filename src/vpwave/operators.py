@@ -32,6 +32,8 @@ from .bases import (
     scaling_to_cheb,
 )
 from .chebyshev import (
+    SQRT_1_PI,
+    SQRT_2_PI,
     ChebExpansion,
     cheb_nodes,
     dct,
@@ -39,6 +41,7 @@ from .chebyshev import (
     eval_series,
     idct,
     probe_grid,
+    probe_values,
     sup_error,
 )
 from .filters import VPLevel, scaling_norms_sq
@@ -70,8 +73,7 @@ class LebesgueReport:
 
 def proj_kernel(level: VPLevel, x: float, y: float) -> float:
     """Reproducing kernel of the projection onto V at (x, y)."""
-    py = eval_p_table(np.arange(level.n + level.m), y)[:, 0]
-    return float(_kernel_sections(level, [x])[0] @ py)
+    return float(eval_series(_kernel_sections(level, [x])[0], y)[0])
 
 
 def _kernel_sections(level: VPLevel, xs: np.ndarray) -> np.ndarray:
@@ -121,92 +123,95 @@ def vp_interp(samples, level: VPLevel) -> ChebExpansion:
 # Lebesgue functions and constants
 # ---------------------------------------------------------------------------
 
-_PANEL_POINTS = 8
+def _lambda_integral(level: VPLevel, xs: np.ndarray) -> np.ndarray:
+    """Integral Lebesgue function int_0^pi |kernel(x, cos t)| dt at the points xs.
 
-
-def _gl_panels(n_panels: int):
-    xg, wg = np.polynomial.legendre.leggauss(_PANEL_POINTS)
-    h = np.pi / n_panels
-    theta = (np.arange(n_panels)[:, None] * h + (xg[None, :] + 1.0) * (h / 2)).ravel()
-    return theta, np.tile(wg * (h / 2), n_panels)
-
-
-def _lambda_integral(level: VPLevel, xs: np.ndarray, rtol: float = 1e-6,
-                     max_doublings: int = 3):
-    """Integral Lebesgue function on the points xs.
-
-    |kernel(x, .)| is integrated in the angle variable (which absorbs the
-    weight) by composite Gauss-Legendre panels, doubling the panel count
-    until the values move by less than ``rtol`` relatively.  Returns
-    (values, n_panels, achieved) where ``achieved`` is the last relative
-    change (it may exceed rtol if the doubling budget ran out).
+    kernel(x, cos t) = sum_s b_s cos(s t).  Its roots are bracketed by sign changes on
+    16(n+m) angle intervals; a pair inside one interval leaves a local minimum of |kernel|
+    and is split at the kernel's extremum.  Six Newton steps polish each root, and between
+    roots |kernel| integrates exactly to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
     """
-    degs = level.n + level.m
     sections = _kernel_sections(level, xs)
-    n_panels = 10 * degs
-    prev = None
-    achieved = np.inf
-    for _ in range(max_doublings + 1):
-        theta, w = _gl_panels(n_panels)
-        table = eval_p_table(np.arange(degs), np.cos(theta))
-        vals = np.empty(len(xs))
-        step = max(1, int(1e7 // max(len(theta), 1)))
-        for j in range(0, len(xs), step):
-            vals[j:j + step] = np.abs(sections[j:j + step] @ table) @ w
-        if prev is not None:
-            achieved = float(np.max(np.abs(vals - prev)) / np.max(vals))
-            if achieved < rtol:
-                return vals, n_panels, achieved
-        prev = vals
-        n_panels *= 2
-    return prev, n_panels // 2, achieved
+    s = np.arange(sections.shape[1])[:, None]
+    b = np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI))
+
+    def newton(k, rows, lo, hi, t):
+        """From t, a zero in [lo, hi] of the k-th angle derivative of the kernel rows."""
+        pair = np.stack([b * (1j * s) ** k, b * (1j * s) ** (k + 1)], axis=1)
+        for _ in range(6):
+            val, slope = _cosine_sums(pair, rows, t).real
+            step = np.divide(val, slope, out=np.zeros_like(val), where=slope != 0.0)
+            t = np.clip(t - step, lo, hi)
+        return t
+
+    h = np.pi / (16 * len(s))
+    vals = probe_values(sections, 16 * len(s))
+    neg, mag = np.signbit(vals), np.abs(vals, out=vals)
+    rows, cols = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    r2, c2 = np.nonzero((mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:])
+                        & (neg[:, :-2] == neg[:, 1:-1]) & (neg[:, 1:-1] == neg[:, 2:]))
+    ext = newton(1, r2, c2 * h, (c2 + 2) * h, (c2 + 1) * h)
+    depth = _cosine_sums(b, r2, ext).real
+    cross = np.signbit(depth) != neg[r2, c2]
+    r2, c2, ext, depth = r2[cross], c2[cross], ext[cross], depth[cross]
+    half = np.sqrt(np.abs(2 * depth / _cosine_sums(b * s * s, r2, ext).real))
+    left = np.concatenate([neg[rows, cols], neg[r2, c2], ~neg[r2, c2]])
+    lo = np.concatenate([cols * h, c2 * h, ext])
+    hi = np.concatenate([(cols + 1) * h, ext, (c2 + 2) * h])
+    start = np.concatenate([(cols + 0.5) * h, ext - half, ext + half])
+    rows = np.concatenate([rows, r2, r2])
+    root = newton(0, rows, lo, hi, np.clip(start, lo, hi))
+    anti = b[0, rows] * root + _cosine_sums(b / np.maximum(s, 1), rows, root).imag
+    # pieces alternate in sign: F(pi) = b_0 pi as the last piece, 2 F(root) as the left one
+    return (np.where(neg[:, -1], -np.pi, np.pi) * b[0]
+            + np.bincount(rows, np.where(left, -2.0, 2.0) * anti, minlength=len(xs)))
 
 
-def _lambda_node_sum(level: VPLevel, xs: np.ndarray) -> np.ndarray:
-    sections = _kernel_sections(level, cheb_nodes(level.n).nodes)
-    vals = sections @ eval_p_table(np.arange(level.n + level.m), xs)
-    return (np.pi / level.n) * np.abs(vals).sum(axis=0)
+def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_s coeffs[s, ..., rows] e^{i s t}, one degree at a time over blocks of 2^14
+    points, so that memory stays O(len(t)) and each block stays in cache."""
+    acc = np.zeros(coeffs.shape[1:-1] + t.shape, dtype=complex)
+    for j in range(0, len(t), 1 << 14):
+        block, z = rows[j:j + (1 << 14)], np.exp(1j * t[j:j + (1 << 14)])
+        w = np.ones_like(z)
+        for col in coeffs:
+            acc[..., j:j + (1 << 14)] += np.take(col, block, axis=-1) * w
+            w *= z
+    return acc
 
 
-def _lambda_interp_sum(level: VPLevel, xs: np.ndarray) -> np.ndarray:
-    mat = scaling_interp_matrix(level)
-    vals = mat.T @ eval_p_table(np.arange(mat.shape[0]), xs)
-    return np.abs(vals).sum(axis=0)
+def _lebesgue_rows(level: VPLevel, kind: LebesgueKind) -> tuple[np.ndarray, str]:
+    """Rows whose |values| sum to lambda-tilde or lambda-bar, and how to describe it."""
+    if kind is LebesgueKind.LAMBDA_TILDE:
+        rows = (np.pi / level.n) * _kernel_sections(level, cheb_nodes(level.n).nodes)
+        return rows, f"exact node sum over {level.n} kernel sections"
+    spec = f"exact sum of {level.n} interpolating scaling functions"
+    return scaling_interp_matrix(level).T, spec
 
 
 def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
     """Lebesgue function of the chosen operator at x (scalar or 1-d array)."""
+    kind = LebesgueKind(kind)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if kind is LebesgueKind.LAMBDA:
-        vals = _lambda_integral(level, xs)[0]
-    elif kind is LebesgueKind.LAMBDA_TILDE:
-        vals = _lambda_node_sum(level, xs)
-    elif kind is LebesgueKind.LAMBDA_BAR:
-        vals = _lambda_interp_sum(level, xs)
-    else:
-        raise ValueError(f"unknown Lebesgue kind {kind!r}")
+    vals = (_lambda_integral(level, xs) if kind is LebesgueKind.LAMBDA
+            else np.abs(eval_series(_lebesgue_rows(level, kind)[0], xs)).sum(axis=0))
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                    grid_size: int = 10000) -> LebesgueReport:
     """Maximum of the Lebesgue function over probe_grid(grid_size)."""
+    kind = LebesgueKind(kind)
     if grid_size < 1000:
         raise ValueError(f"grid size must be at least 1000, got {grid_size}")
-    xs = probe_grid(grid_size)
     if kind is LebesgueKind.LAMBDA:
         # the kernel is even under (x, y) -> (-x, -y), so its Lebesgue
         # function is even and half the grid suffices
-        half = xs[: grid_size // 2 + 1]
-        vals, n_panels, achieved = _lambda_integral(level, half)
-        spec = (f"composite Gauss-Legendre in angle, {_PANEL_POINTS}-point panels x "
-                f"{n_panels}, relative change {achieved:.3e}")
-    elif kind is LebesgueKind.LAMBDA_TILDE:
-        vals = _lambda_node_sum(level, xs)
-        spec = f"exact node sum over {level.n} kernel sections"
+        vals = _lambda_integral(level, probe_grid(grid_size)[: grid_size // 2 + 1])
+        spec = "exact integral between kernel roots: 16(n+m) angle brackets, 6 Newton steps"
     else:
-        vals = _lambda_interp_sum(level, xs)
-        spec = f"exact sum of {level.n} interpolating scaling functions"
+        rows, spec = _lebesgue_rows(level, kind)
+        vals = np.abs(probe_values(rows, grid_size)).sum(axis=0)
     return LebesgueReport(kind, level.n, level.m, float(vals.max()), grid_size, spec)
 
 
@@ -237,19 +242,19 @@ class ErrorPoint:
 
 def approximant(f: Callable, level: VPLevel, kind: OperatorKind) -> ChebExpansion:
     """Chebyshev expansion of the chosen approximant of f at ``level``."""
+    kind = OperatorKind(kind)
     if kind is OperatorKind.VP_INTERP:
         return vp_interp(f(cheb_nodes(level.n).nodes), level)
     if kind is OperatorKind.DISCRETE_PROJ:
         return scaling_to_cheb(discrete_proj(f(cheb_nodes(level.n).nodes), level))
-    if kind is OperatorKind.FOURIER_PROJ:
-        return scaling_to_cheb(fourier_proj(f, level))
-    raise ValueError(f"unknown operator kind {kind!r}")
+    return scaling_to_cheb(fourier_proj(f, level))
 
 
 def error_curve(f: Callable, kind: OperatorKind, theta: float,
                 n_list: Iterable[int], grid_size: int = 10000) -> list[ErrorPoint]:
     """Sup-norm error of the chosen approximant over resolutions n with
     m = floor(theta n); degenerate pairs are skipped with a warning."""
+    kind = OperatorKind(kind)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     out = []
@@ -260,6 +265,6 @@ def error_curve(f: Callable, kind: OperatorKind, theta: float,
             continue
         level = VPLevel(n, m)
         approx = approximant(f, level, kind)
-        err = sup_error(f, lambda xs: eval_series(approx.coeffs, xs), grid_size)
+        err = sup_error(f, lambda xs: probe_values(approx.coeffs, grid_size), grid_size)
         out.append(ErrorPoint(n, m, err))
     return out

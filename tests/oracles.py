@@ -6,6 +6,8 @@ basis columns and their norms are spelled out entry by entry, so every
 fast-versus-dense check compares two different code paths.  Levels are
 passed as any object with integer attributes ``n`` and ``m``.
 
+The high-precision oracles (``series_mp``, ``lambda_mp``) work in ``mpmath``.
+
 Notation: p_r is the orthonormal Chebyshev polynomial of degree r, mu the
 ramp of level (n, m), q_r (0 <= r < n) the modified Chebyshev basis of V and
 q~_r (n <= r < 3n) that of W, with squared norms nu_r and v_r.
@@ -13,6 +15,7 @@ q~_r (n <= r < 3n) that of W, with squared norms nu_r and v_r.
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -39,6 +42,19 @@ def cheb_table(degrees, n: int, nodes=None) -> np.ndarray:
     return out
 
 
+def probe_table(degrees, grid_size: int) -> np.ndarray:
+    """p_r at the probe points cos(j pi / M), j = 0..M, shape (len(degrees), M+1).
+
+    The angle r j is reduced modulo 2M in exact integer arithmetic and then
+    mirrored into [0, M], so every cosine is taken of an angle in [0, pi].
+    """
+    r = np.asarray(degrees, dtype=np.int64)[:, None]
+    reduced = (r * np.arange(grid_size + 1)) % (2 * grid_size)
+    reduced = np.minimum(reduced, 2 * grid_size - reduced)
+    scale = np.where(r == 0, 1.0 / math.sqrt(math.pi), math.sqrt(2.0 / math.pi))
+    return scale * np.cos(reduced * (np.pi / grid_size))
+
+
 def dct_matrix(n: int) -> np.ndarray:
     """D with dct(v) = D @ v and idct(v) = D.T @ v."""
     return math.sqrt(math.pi / n) * cheb_table(np.arange(n), n)
@@ -50,9 +66,10 @@ def ramp(n: int, m: int) -> np.ndarray:
     return np.where(r <= n - m, 1.0, (n + m - r) / (2.0 * m))
 
 
-def _approx_columns(n: int, m: int) -> list:
-    """q_r as [(degree, coefficient), ...]: p_r, or mu_r p_r - mu_{2n-r} p_{2n-r}."""
-    mu = ramp(n, m)
+def _approx_columns(n: int, m: int, mu=None) -> list:
+    """q_r as [(degree, coefficient), ...]: p_r, or mu_r p_r - mu_{2n-r} p_{2n-r};
+    ``mu`` replaces the float ramp (the mpmath oracles pass exact ratios)."""
+    mu = ramp(n, m) if mu is None else mu
     return [[(r, 1.0)] if r <= n - m else [(r, mu[r]), (2 * n - r, -mu[2 * n - r])]
             for r in range(n)]
 
@@ -180,3 +197,59 @@ def fourier_proj(f, level, n_quad: int) -> np.ndarray:
     phi = approx_scatter(level) @ scaling_transform(level)
     values = phi.T @ cheb_table(np.arange(n + m), n_quad)
     return (np.pi / n_quad) * (values @ f(cheb_zeros(n_quad)))
+
+
+def _mp_scale(r: int):
+    return mpmath.sqrt((1 if r == 0 else 2) / mpmath.pi)
+
+
+def series_mp(coeffs, xs, dps: int = 30) -> np.ndarray:
+    """sum_r c_r p_r(x) at each float x, with cos(r acos x) in ``dps`` digits."""
+    with mpmath.workdps(dps):
+        out = []
+        for x in xs:
+            theta = mpmath.acos(mpmath.mpf(float(x)))
+            out.append(mpmath.fsum(mpmath.mpf(float(c)) * _mp_scale(r)
+                                   * mpmath.cos(r * theta)
+                                   for r, c in enumerate(coeffs) if c != 0.0))
+        return np.array([float(v) for v in out])
+
+
+def lambda_mp(level, x: float, dps: int = 30) -> float:
+    """Integral Lebesgue function int_0^pi |K(x, cos t)| dt in ``dps`` digits.
+
+    K(x, y) = sum_r q_r(x) q_r(y) / nu_r with the ramp in exact ratios, so
+    K(x, cos t) = sum_s b_s cos(s t).  Its sign changes are located on a float
+    sample of 1024(n+m) angles, each root is found by ``mpmath.findroot`` inside
+    its bracket, and between consecutive roots (and 0, pi) |K| integrates to
+    |F(b) - F(a)| with F(t) = b_0 t + sum_s b_s sin(s t) / s.
+    """
+    n, m = level.n, level.m
+    d = n + m
+    with mpmath.workdps(dps):
+        mu = [mpmath.mpf(1) if r <= n - m else mpmath.mpf(n + m - r) / (2 * m)
+              for r in range(d)]
+        theta = mpmath.acos(mpmath.mpf(float(x)))
+        p_x = [_mp_scale(s) * mpmath.cos(s * theta) for s in range(d)]
+        coeffs = [mpmath.mpf(0)] * d
+        for col in _approx_columns(n, m, mu):
+            q_x = mpmath.fsum(c * p_x[s] for s, c in col)
+            nu = mpmath.fsum(c * c for _, c in col)
+            for s, c in col:
+                coeffs[s] += c * q_x / nu
+        b = [_mp_scale(s) * c for s, c in enumerate(coeffs)]
+
+        def kernel(t):
+            return mpmath.fsum(b[s] * mpmath.cos(s * t) for s in range(d))
+
+        def anti(t):
+            return b[0] * t + mpmath.fsum(b[s] * mpmath.sin(s * t) / s for s in range(1, d))
+
+        ts = np.linspace(0.0, np.pi, 1024 * d + 1)
+        sample = np.array([float(v) for v in b]) @ np.cos(np.outer(np.arange(d), ts))
+        ends = [mpmath.mpf(0)]
+        for j in np.nonzero(np.sign(sample[:-1]) * np.sign(sample[1:]) < 0)[0]:
+            ends.append(mpmath.findroot(kernel, (mpmath.mpf(ts[j]), mpmath.mpf(ts[j + 1])),
+                                        solver="anderson"))
+        ends.append(mpmath.pi)
+        return float(mpmath.fsum(abs(anti(u) - anti(v)) for u, v in zip(ends, ends[1:])))

@@ -8,16 +8,20 @@ import time
 import numpy as np
 import pytest
 from oracles import analysis_matrices, detail_transform, scaling_transform
-from util import max_dev, quad_gram, split_matrices
+from util import (
+    max_dev,
+    quad_gram,
+    scaling_ortho_matrix,
+    split_matrices,
+    wavelet_interp_matrix,
+    wavelet_ortho_matrix,
+)
 
 from vpwave.bases import (
     ScalingCoeffs,
     detail_to_cheb,
     scaling_interp_matrix,
-    scaling_ortho_matrix,
     scaling_to_cheb,
-    wavelet_interp_matrix,
-    wavelet_ortho_matrix,
 )
 from vpwave.chebyshev import (
     cheb_nodes,

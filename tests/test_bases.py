@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import approx_scatter, detail_scatter
-from util import max_dev, quad_gram
+from util import (
+    max_dev,
+    quad_gram,
+    scaling_ortho_matrix,
+    wavelet_interp_matrix,
+    wavelet_ortho_matrix,
+)
 
 from vpwave.bases import (
     DetailCoeffs,
@@ -18,13 +24,10 @@ from vpwave.bases import (
     scaling_interp,
     scaling_interp_matrix,
     scaling_ortho,
-    scaling_ortho_matrix,
     scaling_to_cheb,
     values_to_ortho,
     wavelet_interp,
-    wavelet_interp_matrix,
     wavelet_ortho,
-    wavelet_ortho_matrix,
 )
 from vpwave.chebyshev import (
     cheb_nodes,

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import dct_matrix
+from oracles import dct_matrix, probe_table, series_mp
 
 from vpwave.chebyshev import (
     cheb_nodes,
     dct,
     eval_expansion,
     eval_p,
+    eval_series,
     expansion,
     gauss_cheb_quad,
     idct,
+    probe_values,
     sup_error,
     y_nodes,
 )
@@ -178,6 +180,43 @@ def test_expansion_single_mode_matches_eval_p():
     rng = np.random.default_rng(11)
     xs = rng.uniform(-1, 1, 100)
     assert_allclose(eval_expansion(e, xs), eval_p(5, xs), rtol=0, atol=1e-14)
+
+
+def test_eval_series_degree_5000_matches_mpmath():
+    # the terms of top degree dominate, and points near +-1 are where a
+    # three-term recurrence loses most
+    c = np.zeros(5001)
+    c[[3, 4000, 5000]] = [0.25, 0.5, 1.0]
+    xs = np.array([1.0, -1.0, 0.0, 1 - 1e-7, -(1 - 1e-5), 0.999, 0.5, 0.12345, -0.7777])
+    assert_allclose(eval_series(c, xs), series_mp(c, xs), rtol=0, atol=1e-12)
+
+
+def test_eval_series_batched_over_leading_axes():
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((2, 3, 40))
+    xs = rng.uniform(-1, 1, 7)
+    out = eval_series(c, xs)
+    assert out.shape == (2, 3, 7)
+    assert_allclose(out[1, 2], eval_series(c[1, 2], xs), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("grid_size,degrees", [(1, 5), (7, 8), (50, 30), (50, 237),
+                                               (1000, 1500)])
+def test_probe_values_match_exact_angles(grid_size, degrees):
+    # degrees >= M fold back through p_{2M-r} = p_r (237 wraps the grid twice)
+    rng = np.random.default_rng(grid_size + degrees)
+    c = rng.standard_normal((3, degrees))
+    out = probe_values(c, grid_size)
+    assert out.shape == (3, grid_size + 1)
+    expected = c @ probe_table(np.arange(degrees), grid_size)
+    bound = 1e-14 * np.abs(c).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(out - expected) <= bound)
+    assert_allclose(probe_values(c[0], grid_size), out[0], rtol=0, atol=0)
+
+
+def test_probe_values_reject_empty_grid():
+    with pytest.raises(ValueError):
+        probe_values(np.ones(3), 0)
 
 
 def test_expansion_domain_error():

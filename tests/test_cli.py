@@ -234,8 +234,8 @@ def test_basis_command_wavelet_localization(tmp_path):
 
 
 def test_basis_command_q_matches_library(tmp_path):
-    from vpwave.bases import approx_basis
-    from vpwave.chebyshev import eval_series, probe_grid
+    from oracles import approx_scatter, probe_table
+
     from vpwave.filters import VPLevel
 
     out = tmp_path / "q.csv"
@@ -243,7 +243,7 @@ def test_basis_command_q_matches_library(tmp_path):
                  "--grid", "500", "--out", str(out)]) == 0
     vals = np.array([float(line.split(",")[1])
                      for line in out.read_text().splitlines()[1:]])
-    expected = eval_series(approx_basis(VPLevel(13, 6), 12).coeffs, probe_grid(500))
+    expected = approx_scatter(VPLevel(13, 6))[:, 12] @ probe_table(np.arange(19), 500)
     np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-15)
 
 
@@ -263,3 +263,26 @@ def test_unknown_operator_flag_exits_2(tmp_path):
         main(["error", "--f", "sin", "--op", "bogus", "--theta", "0.5",
               "--n", "10", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command",
+                         ["error", "lebesgue", "decompose", "reconstruct", "basis"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    pyramid = tmp_path / "pyr.json"
+    assert main(["decompose", "--f", "sin", "--n0", "5", "--levels", "1",
+                 "--theta", "0.5", "--out", str(pyramid)]) == 0
+    out = tmp_path / "missing" / "out.csv"
+    args = {
+        "error": ["--f", "sin", "--op", "vp", "--theta", "0.5", "--n", "10",
+                  "--grid", "1000"],
+        "lebesgue": ["--kind", "lambda-bar", "--theta", "0.5", "--n", "10",
+                     "--grid", "1000"],
+        "decompose": ["--f", "sin", "--n0", "5", "--levels", "1", "--theta", "0.5"],
+        "reconstruct": ["--pyramid", str(pyramid)],
+        "basis": ["--family", "q", "--n", "13", "--m", "6", "--r", "3", "--grid", "100"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "missing").exists()

@@ -173,9 +173,7 @@ def test_stacked_analysis_matrices_orthogonal(level):
 
 
 def test_analysis_matrix_rows_are_two_scale_inner_products():
-    from util import quad_gram
-
-    from vpwave.bases import scaling_ortho_matrix
+    from util import quad_gram, scaling_ortho_matrix
 
     a_mat, _ = analysis_matrices(L136)
     fine = scaling_ortho_matrix(VPLevel(39, 6))

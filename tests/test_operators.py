@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import fourier_proj as dense_fourier_proj
-from util import max_dev
+from oracles import lambda_mp
+from util import max_dev, scaling_ortho_matrix
 
 from vpwave.bases import (
     ScalingCoeffs,
     ortho_to_values,
     scaling_ortho,
-    scaling_ortho_matrix,
     scaling_to_cheb,
     values_to_ortho,
     wavelet_ortho,
@@ -199,7 +199,29 @@ def test_lebesgue_integral_at_least_one():
     rng = np.random.default_rng(9)
     xs = rng.uniform(-1, 1, 100)
     vals = lebesgue_fn(L136, LebesgueKind.LAMBDA, xs)
-    assert vals.min() >= 1.0 - 1e-6
+    # the kernel reproduces constants, so lambda >= 1 holds exactly
+    assert vals.min() >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n,m", [(6, 1), (9, 4), (13, 6), (13, 11)])
+def test_lebesgue_integral_matches_mpmath(n, m):
+    level = VPLevel(n, m)
+    xs = np.array([1.0, 0.0, -1.0, np.random.default_rng(n * m).uniform(-1, 1)])
+    expected = np.array([lambda_mp(level, x) for x in xs])
+    assert_allclose(lebesgue_fn(level, LebesgueKind.LAMBDA, xs), expected,
+                    rtol=1e-12, atol=0)
+    assert lebesgue_fn(level, LebesgueKind.LAMBDA, xs[3]) == pytest.approx(
+        expected[3], rel=1e-12, abs=0)
+
+
+def test_lebesgue_integral_resolves_close_root_pairs():
+    # at these probe points kernel(x, cos t) has two roots 0.28 and 0.86 of a
+    # bracketing interval apart, which no sign change on the grid shows
+    level = VPLevel(10, 9)
+    xs = probe_grid(2000)[[770, 85]]
+    expected = np.array([lambda_mp(level, x) for x in xs])
+    assert_allclose(lebesgue_fn(level, LebesgueKind.LAMBDA, xs), expected,
+                    rtol=1e-12, atol=0)
 
 
 def test_lebesgue_interp_is_one_at_nodes():
@@ -219,11 +241,28 @@ def test_lebesgue_node_sum_vs_integral_window():
 def test_lebesgue_const_reports():
     for kind in LebesgueKind:
         rep = lebesgue_const(L136, kind, grid_size=1000)
-        assert rep.value >= 1.0 - 1e-6
+        assert rep.value >= 1.0 - 1e-12
         assert rep.n == 13 and rep.m == 6 and rep.grid_size == 1000
         assert rep.quad_spec
     with pytest.raises(ValueError):
         lebesgue_const(L136, LebesgueKind.LAMBDA_BAR, grid_size=999)
+
+
+def test_kinds_accept_their_string_values():
+    xs = np.array([-0.3, 0.8])
+    for kind in LebesgueKind:
+        assert lebesgue_const(L136, kind.value, 1000) == lebesgue_const(L136, kind, 1000)
+        assert_allclose(lebesgue_fn(L136, kind.value, xs), lebesgue_fn(L136, kind, xs),
+                        rtol=0, atol=0)
+    for kind in OperatorKind:
+        assert (error_curve(np.sin, kind.value, 0.5, [12], 1000)
+                == error_curve(np.sin, kind, 0.5, [12], 1000))
+    with pytest.raises(ValueError):
+        lebesgue_const(L136, "nonsense", 1000)
+    with pytest.raises(ValueError):
+        lebesgue_fn(L136, "nonsense", 0.5)
+    with pytest.raises(ValueError):
+        error_curve(np.sin, "nonsense", 0.5, [12], 1000)
 
 
 def test_lebesgue_conjecture_integral_below_node_sum():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from vpwave.bases import ScalingCoeffs
+from vpwave.bases import ScalingCoeffs, scaling_ortho, wavelet_interp, wavelet_ortho
 from vpwave.chebyshev import cheb_nodes, eval_p_table
 from vpwave.filters import VPLevel
 from vpwave.mra import decompose_step
@@ -29,3 +29,22 @@ def split_matrices(level):
     parts = [decompose_step(ScalingCoeffs(fine, e)) for e in np.eye(fine.n)]
     return (np.column_stack([a.a for a, _ in parts]),
             np.column_stack([b.b for _, b in parts]))
+
+
+def _columns(accessor, level, count):
+    return np.column_stack([accessor(level, k).coeffs for k in range(1, count + 1)])
+
+
+def scaling_ortho_matrix(level):
+    """(n+m) x n matrix; column k-1 is the expansion of orthonormal scaling function k."""
+    return _columns(scaling_ortho, level, level.n)
+
+
+def wavelet_interp_matrix(level):
+    """(3n+m) x 2n matrix; column k-1 is the expansion of interpolating wavelet k."""
+    return _columns(wavelet_interp, level, 2 * level.n)
+
+
+def wavelet_ortho_matrix(level):
+    """(3n+m) x 2n matrix; column k-1 is the expansion of orthonormal wavelet k."""
+    return _columns(wavelet_ortho, level, 2 * level.n)
