@@ -41,12 +41,7 @@ from .chebyshev import (
     sup_error,
     y_nodes,
 )
-from .filters import (
-    VPLevel,
-    detail_norms_sq,
-    lowpass_weights,
-    scaling_norms_sq,
-)
+from .filters import VPLevel
 from .functions import REGISTRY, get_function
 from .mra import (
     MultiDecomposition,

@@ -13,9 +13,12 @@ acting on the last axis of its input: the band maps approx_spread (A: q_r to
 plain Chebyshev coefficients) and detail_spread (B: q~_r to plain), their
 transposes approx_gather and detail_gather, and the four O(n log n)
 coefficient transforms (node-indexed <-> degree-indexed, an orthogonal pair
-per space).  Every basis element is exported as a ChebExpansion, a basis
-matrix is the matching map applied to an identity, and the multiresolution
-algorithms are built on top of these maps.
+per space).  A q_r or q~_r off the ramp is a plain p_r of norm 1, so the band
+maps copy those degrees and touch only the ramp slices (2(m-1) values from
+filters.ramp); the norms rescale the same slices, once per space.  Every
+basis element is exported as a ChebExpansion, a basis matrix is the matching
+map applied to an identity, and the multiresolution algorithms are built on
+top of these maps.
 """
 
 import math
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import ChebExpansion, dct, idct
-from .filters import VPLevel, detail_norms_sq, lowpass_weights, scaling_norms_sq
+from .filters import VPLevel, ramp
 
 SQRT2 = math.sqrt(2.0)
 
@@ -73,11 +76,12 @@ def approx_spread(t, level: VPLevel) -> np.ndarray:
     n-m < r < n, so the ramp is mirrored across degree n (which stays empty).
     """
     n, m = level.n, level.m
-    mu = lowpass_weights(level)
+    mu, mirror, _ = ramp(m)
     t = _as_length(t, n)
     c = np.zeros(t.shape[:-1] + (n + m,))
-    c[..., :n] = mu[:n] * t
-    c[..., n + m - 1:n:-1] = -mu[n + m - 1:n:-1] * t[..., n - m + 1:]
+    c[..., :n] = t
+    c[..., n - m + 1:n] *= mu
+    c[..., n + m - 1:n:-1] = -mirror * t[..., n - m + 1:]
     return c
 
 
@@ -87,12 +91,12 @@ def approx_gather(c, level: VPLevel) -> np.ndarray:
     Only degrees below n+m are read; anything beyond is orthogonal to V.
     """
     n, m = level.n, level.m
-    mu = lowpass_weights(level)
+    mu, mirror, _ = ramp(m)
     c = np.asarray(c, dtype=float)
     if c.ndim == 0 or c.shape[-1] < n + m:
         raise ValueError(f"expected at least {n + m} coefficients, got shape {c.shape}")
-    t = mu[:n] * c[..., :n]
-    t[..., n - m + 1:] -= mu[n + m - 1:n:-1] * c[..., n + m - 1:n:-1]
+    t = c[..., :n].copy()
+    t[..., n - m + 1:] = mu * c[..., n - m + 1:n] - mirror * c[..., n + m - 1:n:-1]
     return t
 
 
@@ -101,16 +105,19 @@ def detail_spread(s, level: VPLevel) -> np.ndarray:
 
     q~_r is mu_{2n-r} p_r + mu_r p_{2n-r} on the entry band n <= r < n+m
     (the complement of the level-n ramp), and above it the level-(3n, m)
-    modified polynomial q_r, which is why degrees up to 3n+m-1 occur.
+    modified polynomial q_r, which is why degrees up to 3n+m-1 occur.  Since
+    mu_n = 1/2, q~_n is p_n.
     """
     n, m = level.n, level.m
-    mu = lowpass_weights(level)
+    mu, mirror, _ = ramp(m)
     s = _as_length(s, 2 * n)
     upper = np.zeros(s.shape[:-1] + (3 * n,))
     upper[..., n + m:] = s[..., m:]
     c = approx_spread(upper, VPLevel(3 * n, m))
-    c[..., n:n + m] += mu[n:n - m:-1] * s[..., :m]
-    c[..., n:n - m:-1] += mu[n:n + m] * s[..., :m]
+    entry = s[..., m - 1:0:-1]  # degrees n+m-1..n+1, the mirrors 2n-r of the ramp
+    c[..., n] += s[..., 0]
+    c[..., n + m - 1:n:-1] += mu * entry
+    c[..., n - m + 1:n] += mirror * entry
     return c
 
 
@@ -120,9 +127,19 @@ def detail_gather(c, level: VPLevel) -> np.ndarray:
     Only degrees below 3n+m are read; anything beyond is orthogonal to W.
     """
     n, m = level.n, level.m
-    mu = lowpass_weights(level)
-    s = approx_gather(c, VPLevel(3 * n, m))[..., n:]
-    s[..., :m] = mu[n:n - m:-1] * c[..., n:n + m] + mu[n:n + m] * c[..., n:n - m:-1]
+    mu, mirror, _ = ramp(m)
+    s = approx_gather(c, VPLevel(3 * n, m))[..., n:]  # degree n is copied there
+    s[..., m - 1:0:-1] = mu * c[..., n + m - 1:n:-1] + mirror * c[..., n - m + 1:n]
+    return s
+
+
+def detail_unscale(s, level: VPLevel) -> np.ndarray:
+    """Divide W coefficients in place by the basis norms, which differ from 1
+    only on the entry band n < r < n+m and the top band 3n-m < r < 3n."""
+    n, m = level.n, level.m
+    root = np.sqrt(ramp(m).norms_sq)
+    s[..., m - 1:0:-1] /= root
+    s[..., 2 * n - m + 1:] /= root
     return s
 
 
@@ -132,17 +149,17 @@ def detail_gather(c, level: VPLevel) -> np.ndarray:
 
 def scaling_analysis(u, level: VPLevel) -> np.ndarray:
     """Node-indexed to degree-indexed coefficients in the approximation space:
-    a DCT with the top n-m-1 entries rescaled by the basis norms."""
+    a DCT with the top m-1 entries (the ramp) rescaled by the basis norms."""
     t = dct(_as_length(u, level.n))
-    ramp = level.n - level.m + 1
-    t[..., ramp:] /= np.sqrt(scaling_norms_sq(level)[ramp:])
+    t[..., level.n - level.m + 1:] /= np.sqrt(ramp(level.m).norms_sq)
     return t
 
 
 def scaling_synthesis(t, level: VPLevel) -> np.ndarray:
     """Transpose of scaling_analysis (inverse only where the norms are 1)."""
-    t = _as_length(t, level.n)
-    return idct(t / np.sqrt(scaling_norms_sq(level)))
+    t = _as_length(t, level.n).copy()
+    t[..., level.n - level.m + 1:] /= np.sqrt(ramp(level.m).norms_sq)
+    return idct(t)
 
 
 def _complement_scatter(u, n: int) -> np.ndarray:
@@ -236,7 +253,7 @@ def _psi(u, level: VPLevel) -> np.ndarray:
 
 def _psi_ortho(b, level: VPLevel) -> np.ndarray:
     """p-coefficients of sum_k b_k (orthonormal wavelet k)."""
-    return detail_spread(detail_analysis(b, level) / np.sqrt(detail_norms_sq(level)), level)
+    return detail_spread(detail_unscale(detail_analysis(b, level), level), level)
 
 
 def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
@@ -301,13 +318,11 @@ def detail_to_cheb(d: DetailCoeffs) -> ChebExpansion:
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:
     """Orthonormal coefficients of the unique element of V that interpolates
     ``samples`` on the level-n Chebyshev grid (node order)."""
-    samples = _as_length(samples, level.n)
-    t = dct(samples) * np.sqrt(scaling_norms_sq(level))
+    t = dct(_as_length(samples, level.n))
+    t[..., level.n - level.m + 1:] *= np.sqrt(ramp(level.m).norms_sq)
     return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * idct(t))
 
 
 def ortho_to_values(c: ScalingCoeffs) -> np.ndarray:
     """Values on the level-n Chebyshev grid; inverse of values_to_ortho."""
-    level = c.level
-    t = dct(c.a) / np.sqrt(scaling_norms_sq(level))
-    return np.sqrt(level.n / np.pi) * idct(t)
+    return np.sqrt(c.level.n / np.pi) * scaling_synthesis(dct(c.a), c.level)

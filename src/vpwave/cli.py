@@ -7,6 +7,7 @@ pyramid data.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -63,9 +64,24 @@ def _parse_theta_list(text: str) -> list[float]:
     return thetas
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def _write_files(files: dict[str, str]) -> None:
+    """Write every file or none: each text goes to a temporary file beside its
+    target, and only when all are written do they replace the targets, the
+    first one last.  A failed replace removes the targets already replaced."""
+    temps, done = [], []
+    try:
+        for path, text in files.items():
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], "w", newline="") as fh:
+                fh.write(text)
+        for tmp, path in reversed(list(zip(temps, files))):
+            os.replace(tmp, path)
+            done.append(path)
+    except OSError:
+        for path in temps + done:
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
 
 
 def cmd_error(args) -> int:
@@ -77,14 +93,14 @@ def cmd_error(args) -> int:
     for theta in thetas:
         for point in error_curve(f, kind, theta, n_list, grid_size=args.grid):
             lines.append(f"{_fmt(theta)},{point.n},{point.m},{_fmt(point.error)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
     meta = {
         "function": args.f,
         "operator": kind.value,
         "grid_size": args.grid,
         "probe_grid": "cos(j*pi/M), j = 0..M",
     }
-    _write_text(args.out + ".meta.json", json.dumps(meta, indent=1) + "\n")
+    _write_files({args.out: "\n".join(lines) + "\n",
+                  args.out + ".meta.json": json.dumps(meta, indent=1) + "\n"})
     return 0
 
 
@@ -101,14 +117,14 @@ def cmd_lebesgue(args) -> int:
             lines.append(f"{_fmt(theta)},{n},{level.m},{_fmt(report.value)}")
             meta_rows.append({"theta": theta, "n": n, "m": level.m,
                               "quad_spec": report.quad_spec})
-    _write_text(args.out, "\n".join(lines) + "\n")
     meta = {
         "kind": kind.value,
         "grid_size": args.grid,
         "probe_grid": "cos(j*pi/M), j = 0..M",
         "rows": meta_rows,
     }
-    _write_text(args.out + ".meta.json", json.dumps(meta, indent=1) + "\n")
+    _write_files({args.out: "\n".join(lines) + "\n",
+                  args.out + ".meta.json": json.dumps(meta, indent=1) + "\n"})
     return 0
 
 
@@ -133,7 +149,7 @@ def cmd_decompose(args) -> int:
             raise ValueError(f"sample file holds {samples.size} values, "
                              f"need n0 * 3^L = {n_top}")
     decomp = decompose_multi(samples, args.n0, args.levels, args.theta)
-    _write_text(args.out, pyramid_to_json(decomp) + "\n")
+    _write_files({args.out: pyramid_to_json(decomp) + "\n"})
     return 0
 
 
@@ -149,7 +165,7 @@ def cmd_reconstruct(args) -> int:
     for d, e in zip(decomp.details, again.details):
         deviation = max(deviation, float(np.max(np.abs(d.b - e.b))))
     samples = ortho_to_values(top)
-    _write_text(args.out, "\n".join(_fmt(v) for v in samples) + "\n")
+    _write_files({args.out: "\n".join(_fmt(v) for v in samples) + "\n"})
     print(f"round-trip deviation: {_fmt(deviation)}")
     return 0
 
@@ -165,7 +181,7 @@ def cmd_basis(args) -> int:
     vals = probe_values(exp.coeffs, args.grid)
     lines = ["x,value"]
     lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_files({args.out: "\n".join(lines) + "\n"})
     return 0
 
 

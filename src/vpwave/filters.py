@@ -1,23 +1,20 @@
-"""Coefficient families attached to a resolution level (n, m), 0 < m < n.
+"""Resolution levels (n, m), 0 < m < n, and the ramp that is all a level adds.
 
 The free parameter m controls the width of the lowpass ramp that turns a
-truncated Chebyshev sum into a delayed (de la Vallee Poussin type) mean.
-Three families parameterize every basis and transform in this package:
-
-* lowpass_weights   -- the ramp filter (1 on degrees <= n-m, linear decay
-                       across (n-m, n+m), 0 beyond),
-* scaling_norms_sq  -- squared norms of the modified Chebyshev basis of the
-                       approximation space (degrees 0..n-1),
-* detail_norms_sq   -- squared norms of the modified Chebyshev basis of the
-                       detail space (degrees n..3n-1).
-
-Each is an O(n) array, cached per level and returned read-only.  The maps
-built from them live in :mod:`vpwave.bases`.
+truncated Chebyshev sum into a delayed (de la Vallee Poussin type) mean: the
+filter mu_r is 1 on degrees r <= n-m, (m+n-r)/(2m) on n-m < r < n+m and 0
+beyond.  A level differs from the truncated sum only on that ramp, and
+there the filter and the squared norms of the modified Chebyshev bases
+depend on m and n-r alone.  So one ramp of 2(m-1) values, computed on
+demand by :func:`ramp`, serves the approximation space at level (n, m), the
+entry band of its detail space and the top band at level (3n, m); every
+other basis polynomial is a plain p_r of norm 1.  The maps built on it live
+in :mod:`vpwave.bases`.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,39 +38,16 @@ class VPLevel:
         return cls(n, math.floor(theta * n))
 
 
-@lru_cache(maxsize=None)
-def lowpass_weights(level: VPLevel) -> np.ndarray:
-    """Ramp filter over degrees 0..n+m-1 (it vanishes from degree n+m on)."""
-    n, m = level.n, level.m
-    r = np.arange(n + m)
-    out = np.where(r <= n - m, 1.0, (m + n - r) / (2.0 * m))
-    out.setflags(write=False)
-    return out
+class Ramp(NamedTuple):
+    """mu_r, its mirror mu_{2n-r} and the squared norm mu_r^2 + mu_{2n-r}^2."""
+    mu: np.ndarray
+    mirror: np.ndarray
+    norms_sq: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def scaling_norms_sq(level: VPLevel) -> np.ndarray:
-    """Squared norms of the approximation-space orthogonal basis, degrees 0..n-1."""
-    n, m = level.n, level.m
-    r = np.arange(n)
-    out = np.where(r <= n - m, 1.0, (m * m + (n - r) ** 2) / (2.0 * m * m))
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def detail_norms_sq(level: VPLevel) -> np.ndarray:
-    """Squared norms of the detail-space orthogonal basis, degrees n..3n-1.
-
-    Entry i holds the value for degree r = n + i.  The upper ramp coincides
-    with scaling_norms_sq at level (3n, m) on degrees 3n-m < r < 3n.
-    """
-    n, m = level.n, level.m
-    r = np.arange(n, 3 * n)
-    out = np.ones(2 * n)
-    lo = (n < r) & (r < n + m)
-    out[lo] = (m * m + (n - r[lo]) ** 2) / (2.0 * m * m)
-    hi = r > 3 * n - m
-    out[hi] = (m * m + (3 * n - r[hi]) ** 2) / (2.0 * m * m)
-    out.setflags(write=False)
-    return out
+def ramp(m: int) -> Ramp:
+    """The ramp of every level (n, m) on degrees r = n-m+1..n-1, in that order,
+    by its closed forms in n-r (m-1 values each).  At degree n the filter is
+    1/2, so the mirrored pair there is p_n itself."""
+    j = np.arange(m - 1, 0, -1)  # n - r
+    return Ramp((m + j) / (2.0 * m), (m - j) / (2.0 * m), (m * m + j ** 2) / (2.0 * m * m))

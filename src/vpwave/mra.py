@@ -22,10 +22,11 @@ from .bases import (
     detail_gather,
     detail_synthesis,
     detail_to_cheb,
+    detail_unscale,
     scaling_synthesis,
     scaling_to_cheb,
 )
-from .filters import VPLevel, detail_norms_sq
+from .filters import VPLevel
 from .operators import discrete_proj
 
 
@@ -45,7 +46,7 @@ def decompose_step(fine: ScalingCoeffs) -> tuple[ScalingCoeffs, DetailCoeffs]:
     level = VPLevel(n, m)
     c = scaling_to_cheb(fine).coeffs
     a = scaling_synthesis(approx_gather(c, level), level)
-    b = detail_synthesis(detail_gather(c, level) / np.sqrt(detail_norms_sq(level)), level)
+    b = detail_synthesis(detail_unscale(detail_gather(c, level), level), level)
     return ScalingCoeffs(level, a), DetailCoeffs(level, b)
 
 
@@ -199,13 +200,9 @@ def threshold_keep_top(decomp: MultiDecomposition,
     order = np.argsort(-np.abs(flat), kind="stable")
     mask = np.zeros(flat.size, dtype=bool)
     mask[order[:keep_count]] = True
-    kept = []
-    offset = 0
-    for d in decomp.details:
-        block = mask[offset:offset + d.b.size]
-        kept.append(np.where(block, d.b, 0.0))
-        offset += d.b.size
-    return _rebuild(decomp, kept)
+    blocks = np.split(mask, np.cumsum([d.b.size for d in decomp.details])[:-1])
+    return _rebuild(decomp, [np.where(block, d.b, 0.0)
+                             for block, d in zip(blocks, decomp.details)])
 
 
 # ---------------------------------------------------------------------------

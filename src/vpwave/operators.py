@@ -25,6 +25,7 @@ import numpy as np
 
 from .bases import (
     ScalingCoeffs,
+    _phi,
     approx_gather,
     approx_spread,
     scaling_interp_matrix,
@@ -39,12 +40,11 @@ from .chebyshev import (
     dct,
     eval_p_table,
     eval_series,
-    idct,
     probe_grid,
     probe_values,
     sup_error,
 )
-from .filters import VPLevel, scaling_norms_sq
+from .filters import VPLevel, ramp
 
 
 class OperatorKind(enum.Enum):
@@ -78,8 +78,9 @@ def proj_kernel(level: VPLevel, x: float, y: float) -> float:
 
 def _kernel_sections(level: VPLevel, xs: np.ndarray) -> np.ndarray:
     """len(xs) x (n+m) matrix; row j is the expansion of kernel(xs[j], .)."""
-    p = eval_p_table(np.arange(level.n + level.m), xs).T
-    return approx_spread(approx_gather(p, level) / scaling_norms_sq(level), level)
+    g = approx_gather(eval_p_table(np.arange(level.n + level.m), xs).T, level)
+    g[..., level.n - level.m + 1:] /= ramp(level.m).norms_sq
+    return approx_spread(g, level)
 
 
 def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> ScalingCoeffs:
@@ -106,8 +107,7 @@ def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (level.n,):
         raise ValueError(f"expected {level.n} samples, got {samples.shape}")
-    t = dct(samples) / np.sqrt(scaling_norms_sq(level))
-    return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * idct(t))
+    return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * scaling_synthesis(dct(samples), level))
 
 
 def vp_interp(samples, level: VPLevel) -> ChebExpansion:
@@ -116,7 +116,7 @@ def vp_interp(samples, level: VPLevel) -> ChebExpansion:
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (level.n,):
         raise ValueError(f"expected {level.n} samples, got {samples.shape}")
-    return ChebExpansion(np.sqrt(np.pi / level.n) * approx_spread(dct(samples), level))
+    return ChebExpansion(_phi(samples, level))
 
 
 # ---------------------------------------------------------------------------

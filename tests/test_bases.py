@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import approx_scatter, detail_scatter
+from oracles import approx_norms_sq, approx_scatter, detail_norms_sq, detail_scatter
 from util import (
     max_dev,
     quad_gram,
@@ -37,7 +37,7 @@ from vpwave.chebyshev import (
     eval_series,
     y_nodes,
 )
-from vpwave.filters import VPLevel, scaling_norms_sq
+from vpwave.filters import VPLevel
 
 L136 = VPLevel(13, 6)
 L4020 = VPLevel(40, 20)
@@ -68,7 +68,7 @@ def test_expansion_of_ramp_basis_at_a_node():
 def test_approx_basis_orthogonality():
     q = approx_spread(np.eye(13), L136).T
     gram = quad_gram(q, q, 4 * (13 + 6))
-    assert max_dev(gram, np.diag(scaling_norms_sq(L136))) < 1e-12
+    assert max_dev(gram, np.diag(approx_norms_sq(L136))) < 1e-12
 
 
 def test_detail_basis_middle_band_is_plain_chebyshev():
@@ -80,8 +80,6 @@ def test_detail_basis_middle_band_is_plain_chebyshev():
 
 
 def test_detail_basis_orthogonality_and_complement():
-    from vpwave.filters import detail_norms_sq
-
     q = approx_spread(np.eye(13), L136).T
     qd = detail_spread(np.eye(26), L136).T
     gram = quad_gram(qd, qd, 8 * 13)
@@ -148,7 +146,7 @@ def test_ortho_scaling_interp_expansion_form():
     n = 13
     nodes = cheb_nodes(n).nodes
     table = eval_p_table(np.arange(n), nodes)
-    weights = (table / np.sqrt(scaling_norms_sq(L136))[:, None])
+    weights = (table / np.sqrt(approx_norms_sq(L136))[:, None])
     mix = np.sqrt(np.pi / n) * (weights.T @ table)  # entry (k, h)
     alt = scaling_interp_matrix(L136) @ mix.T
     assert max_dev(alt, scaling_ortho_matrix(L136)) < 1e-11
@@ -267,7 +265,7 @@ def test_values_to_ortho_dense_triple_sum():
     rng = np.random.default_rng(7)
     f = rng.standard_normal(n)
     table = eval_p_table(np.arange(n), cheb_nodes(n).nodes)
-    root_norms = np.sqrt(scaling_norms_sq(L136))
+    root_norms = np.sqrt(approx_norms_sq(L136))
     dense = np.empty(n)
     for k in range(n):
         acc = 0.0

@@ -286,3 +286,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["error", "lebesgue"])
+def test_failed_sidecar_leaves_no_half_artifact(tmp_path, capsys, command):
+    # <out>.meta.json is a directory, so the sidecar cannot be written: the
+    # command exits 2 and leaves neither <out> nor a temporary file behind
+    args = {
+        "error": ["--f", "sin", "--op", "vp", "--theta", "0.5", "--n", "10",
+                  "--grid", "1000"],
+        "lebesgue": ["--kind", "lambda-bar", "--theta", "0.5", "--n", "10",
+                     "--grid", "1000"],
+    }[command]
+    out = tmp_path / "e.csv"
+    (tmp_path / "e.csv.meta.json").mkdir()
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv.meta.json"]
+    # and the other way round: <out> is a directory, so no sidecar may stay
+    (tmp_path / "e.csv.meta.json").rmdir()
+    out.mkdir()
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv"]

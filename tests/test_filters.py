@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import approx_norms_sq, detail_norms_sq
 
 from vpwave.bases import (
+    approx_gather,
+    approx_spread,
     detail_analysis,
     detail_gather,
+    detail_spread,
+    detail_unscale,
     scaling_analysis,
     scaling_synthesis,
     wavelet_interp,
 )
 from vpwave.chebyshev import cheb_nodes, eval_p, y_nodes
-from vpwave.filters import VPLevel, detail_norms_sq, lowpass_weights, scaling_norms_sq
+from vpwave.filters import VPLevel, ramp
 
 L136 = VPLevel(13, 6)
 
@@ -27,70 +32,102 @@ def test_level_validation():
         VPLevel.from_theta(13, 1.0)
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of the polynomials whose p-coefficients are the rows."""
+    return (rows ** 2).sum(axis=-1)
+
+
 def test_lowpass_values():
-    mu = lowpass_weights(L136)
-    assert mu[5] == 1.0
-    assert mu[13] == 0.5
-    assert mu[18] == pytest.approx(1 / 12)
-    assert mu.shape == (19,)  # the ramp vanishes from degree n+m on
+    # level (13, 6): the ramp covers degrees r = 8..12
+    mu, mirror, norms = ramp(6)
+    assert mu.shape == mirror.shape == norms.shape == (5,)
+    assert mirror[0] == pytest.approx(1 / 12)     # mu_18, mirror of r = 8
+    assert norms[-1] == pytest.approx(37 / 72)    # r = 12
+    assert norms[0] == pytest.approx(61 / 72)     # r = 8
+    assert all(len(part) == 0 for part in ramp(1))  # m = 1: no ramp
+    assert approx_spread(np.eye(13), L136).shape == (13, 19)  # nothing from degree n+m on
+
+
+def test_ramp_is_linear_through_one_half_at_degree_n():
+    # mu_r = (m+n-r)/(2m): steps of 1/(2m) that reach 1/2 at r = n
+    for m in (2, 6, 20):
+        mu, mirror, _ = ramp(m)
+        assert_allclose(np.diff(mu), -1 / (2 * m), rtol=0, atol=1e-15)
+        assert mu[-1] - 1 / (2 * m) == pytest.approx(0.5, abs=1e-15)
+        assert mirror[-1] + 1 / (2 * m) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_band_maps_copy_off_the_ramp():
+    # mu_r = 1 below the ramp, and mu_n = 1/2 makes q~_n = p_n
+    n, m = 13, 6
+    rng = np.random.default_rng(3)
+    t, s = rng.standard_normal(n), rng.standard_normal(2 * n)
+    c = rng.standard_normal(3 * n + m)
+    assert np.array_equal(approx_spread(t, L136)[:n - m + 1], t[:n - m + 1])
+    assert np.array_equal(approx_gather(c, L136)[:n - m + 1], c[:n - m + 1])
+    assert approx_spread(t, L136)[n] == 0.0
+    assert detail_spread(s, L136)[n] == s[0]
+    assert detail_gather(c, L136)[0] == c[n]
+    assert np.array_equal(detail_spread(np.eye(26)[0], L136), np.eye(3 * n + m)[n])
 
 
 def test_scaling_norm_values():
-    nus = scaling_norms_sq(L136)
-    assert nus[7] == 1.0
-    assert nus[12] == pytest.approx(37 / 72)
-    assert nus[8] == pytest.approx(61 / 72)
-    assert nus.shape == (13,)
+    nus = _squared_norms(approx_spread(np.eye(13), L136))
+    assert nus.shape == (13,) and nus[5] == 1.0 and nus[7] == 1.0
+    assert nus[12] == pytest.approx(37 / 72, abs=1e-15)
+    assert nus[8] == pytest.approx(61 / 72, abs=1e-15)
+    assert_allclose(nus[8:], ramp(6).norms_sq, rtol=0, atol=1e-15)
 
 
 def test_detail_norm_values():
-    v = detail_norms_sq(L136)  # entry i is degree 13 + i
+    v = _squared_norms(detail_spread(np.eye(26), L136))  # entry i is degree 13 + i
     assert v[0] == 1.0
-    assert v[1] == pytest.approx(37 / 72)
-    assert v[25] == pytest.approx(37 / 72)
+    assert v[1] == pytest.approx(37 / 72, abs=1e-15)
+    assert v[25] == pytest.approx(37 / 72, abs=1e-15)
     assert v.shape == (26,)
 
 
 def test_lowpass_complementarity_on_ramp():
     # mu_r + mu_{2n-r} = 1 strictly inside the ramp
-    n, m = 13, 6
-    mu = lowpass_weights(L136)
-    for r in range(n - m + 1, n):
-        assert mu[r] + mu[2 * n - r] == pytest.approx(1.0, abs=1e-15)
+    mu, mirror, _ = ramp(6)
+    assert_allclose(mu + mirror, 1.0, rtol=0, atol=1e-15)
 
 
 def test_norm_is_sum_of_squared_ramp_weights():
-    n, m = 13, 6
-    mu = lowpass_weights(L136)
-    nus = scaling_norms_sq(L136)
-    for r in range(n - m + 1, n):
-        assert nus[r] == pytest.approx(mu[r] ** 2 + mu[2 * n - r] ** 2, abs=1e-15)
+    for m in (2, 6, 20):
+        mu, mirror, norms = ramp(m)
+        assert_allclose(norms, mu ** 2 + mirror ** 2, rtol=0, atol=1e-15)
 
 
 def test_detail_tail_matches_refined_scaling_norms():
-    # upper ramp of the detail norms coincides with the level-(3n, m) table
+    # the top band of W at (n, m) is the ramp of V at (3n, m)
     n, m = 13, 6
-    v = detail_norms_sq(L136)
-    nu3 = scaling_norms_sq(VPLevel(3 * n, m))
+    v = _squared_norms(detail_spread(np.eye(2 * n), L136))
+    nu3 = _squared_norms(approx_spread(np.eye(3 * n), VPLevel(3 * n, m)))
     for r in range(3 * n - m + 1, 3 * n):
         assert v[r - n] == pytest.approx(nu3[r], abs=1e-15)
 
 
+@pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), L136, VPLevel(40, 39)])
+def test_detail_unscale_divides_by_the_oracle_norms(level):
+    got = detail_unscale(np.ones((2, 2 * level.n)), level)
+    assert_allclose(got, np.broadcast_to(1 / np.sqrt(detail_norms_sq(level)), got.shape),
+                    rtol=0, atol=1e-15)
+
+
 def test_families_stay_in_unit_interval():
-    for level in (L136, VPLevel(40, 20), VPLevel(9, 2)):
-        for arr in (lowpass_weights(level), scaling_norms_sq(level),
-                    detail_norms_sq(level)):
+    for m in (6, 20, 2):
+        for arr in ramp(m):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
 
 def test_ramp_monotonicity():
     n, m = 40, 20
     level = VPLevel(n, m)
-    mu = lowpass_weights(level)
-    assert np.all(np.diff(mu[n - m:]) <= 0)
-    nus = scaling_norms_sq(level)
-    assert np.all(np.diff(nus[n - m:]) <= 0)
-    v = detail_norms_sq(level)
+    mu, mirror, norms = ramp(m)
+    assert np.all(np.diff(mu) <= 0) and np.all(np.diff(mirror) >= 0)
+    assert np.all(np.diff(norms) <= 0)
+    v = _squared_norms(detail_spread(np.eye(2 * n), level))
     assert np.all(np.diff(v[1: m + 1]) >= 0)     # entry ramp climbs back to 1
     assert np.all(np.diff(v[2 * n - m:]) <= 0)   # exit ramp falls toward 1/2
 
@@ -105,7 +142,7 @@ def test_scaling_transform_row_zero():
 def test_scaling_transform_row_orthogonality():
     rows = scaling_synthesis(np.eye(13), L136)  # row r of the transform
     gram = rows @ rows.T
-    assert np.abs(gram - np.diag(1.0 / scaling_norms_sq(L136))).max() < 1e-12
+    assert np.abs(gram - np.diag(1.0 / approx_norms_sq(L136))).max() < 1e-12
 
 
 def test_scaling_transform_entry_formula():

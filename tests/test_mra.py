@@ -298,6 +298,23 @@ def test_threshold_identities():
         threshold_keep_top(decomp, 0.0)
 
 
+def test_threshold_keep_top_splits_the_global_mask_by_level():
+    # reference: one global ranking, then each level's block of the mask
+    rng = np.random.default_rng(21)
+    decomp = decompose_multi(rng.standard_normal(5 * 27), 5, 3, 0.5)
+    flat = np.concatenate([d.b for d in decomp.details])
+    for fraction in (0.01, 0.3, 0.5):
+        keep = np.argsort(-np.abs(flat), kind="stable")[:int(np.ceil(fraction * flat.size))]
+        expected = np.zeros_like(flat)
+        expected[keep] = flat[keep]
+        pruned, report = threshold_keep_top(decomp, fraction)
+        assert np.array_equal(np.concatenate([d.b for d in pruned.details]), expected)
+        assert [d.b.size for d in pruned.details] == [10, 30, 90]
+        assert report.kept == keep.size
+    base_only = decompose_multi(rng.standard_normal(5), 5, 0, 0.5)
+    assert threshold_keep_top(base_only, 0.5)[0].details == ()
+
+
 def test_threshold_keep_top_smooth_function():
     # a smooth signal keeps its reconstruction through aggressive pruning
     samples = np.sin(6.0 * cheb_nodes(1728).nodes)

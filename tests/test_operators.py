@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import fourier_proj as dense_fourier_proj
-from oracles import lambda_mp
+from oracles import approx_norms_sq, lambda_mp
 from util import max_dev, scaling_ortho_matrix
 
 from vpwave.bases import (
@@ -22,7 +22,7 @@ from vpwave.chebyshev import (
     probe_grid,
     sup_error,
 )
-from vpwave.filters import VPLevel, scaling_norms_sq
+from vpwave.filters import VPLevel
 from vpwave.operators import (
     LebesgueKind,
     OperatorKind,
@@ -123,7 +123,7 @@ def test_discrete_proj_dense_triple_sum():
     rng = np.random.default_rng(4)
     f = rng.standard_normal(n)
     table = eval_p_table(np.arange(n), cheb_nodes(n).nodes)
-    inv_root = 1.0 / np.sqrt(scaling_norms_sq(L136))
+    inv_root = 1.0 / np.sqrt(approx_norms_sq(L136))
     dense = np.empty(n)
     for k in range(n):
         acc = 0.0
