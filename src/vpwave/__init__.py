@@ -27,17 +27,14 @@ from .bases import (
     wavelet_ortho,
 )
 from .chebyshev import (
-    ChebExpansion,
-    ChebGrid,
-    YGrid,
     cheb_nodes,
     dct,
-    eval_expansion,
     eval_p,
-    expansion,
+    eval_series,
     gauss_cheb_quad,
     idct,
     probe_grid,
+    probe_values,
     sup_error,
     y_nodes,
 )

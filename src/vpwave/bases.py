@@ -16,9 +16,9 @@ coefficient transforms (node-indexed <-> degree-indexed, an orthogonal pair
 per space).  A q_r or q~_r off the ramp is a plain p_r of norm 1, so the band
 maps copy those degrees and touch only the ramp slices (2(m-1) values from
 filters.ramp); the norms rescale the same slices, once per space.  Every
-basis element is exported as a ChebExpansion, a basis matrix is the matching
-map applied to an identity, and the multiresolution algorithms are built on
-top of these maps.
+basis element is exported as its array of p-coefficients, a basis matrix is
+the matching map applied to an identity, and the multiresolution algorithms
+are built on top of these maps.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebExpansion, dct, idct
+from .chebyshev import dct, idct
 from .filters import VPLevel, ramp
 
 SQRT2 = math.sqrt(2.0)
@@ -34,13 +34,14 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ScalingCoeffs:
-    """Coefficients (length n) in the orthonormal scaling basis at ``level``."""
+    """Coefficients (length n) in the orthonormal scaling basis at ``level``,
+    held as a read-only copy of the array given."""
 
     level: VPLevel
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "a", np.array(self.a, dtype=float))
         if self.a.shape != (self.level.n,):
             raise ValueError(
                 f"expected {self.level.n} scaling coefficients, got {self.a.shape}")
@@ -49,13 +50,14 @@ class ScalingCoeffs:
 
 @dataclass(frozen=True)
 class DetailCoeffs:
-    """Coefficients (length 2n) in the orthonormal wavelet basis at ``level``."""
+    """Coefficients (length 2n) in the orthonormal wavelet basis at ``level``,
+    held as a read-only copy of the array given."""
 
     level: VPLevel
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "b", np.array(self.b, dtype=float))
         if self.b.shape != (2 * self.level.n,):
             raise ValueError(
                 f"expected {2 * self.level.n} detail coefficients, got {self.b.shape}")
@@ -265,14 +267,14 @@ def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
     return e
 
 
-def approx_basis(level: VPLevel, r: int) -> ChebExpansion:
+def approx_basis(level: VPLevel, r: int) -> np.ndarray:
     """Degree-r modified Chebyshev basis polynomial of V, r in [0, n-1]."""
-    return ChebExpansion(approx_spread(_unit(r, 0, level.n, "degree"), level))
+    return approx_spread(_unit(r, 0, level.n, "degree"), level)
 
 
-def detail_basis(level: VPLevel, r: int) -> ChebExpansion:
+def detail_basis(level: VPLevel, r: int) -> np.ndarray:
     """Degree-r modified Chebyshev basis polynomial of W, r in [n, 3n-1]."""
-    return ChebExpansion(detail_spread(_unit(r, level.n, 2 * level.n, "degree"), level))
+    return detail_spread(_unit(r, level.n, 2 * level.n, "degree"), level)
 
 
 def scaling_interp_matrix(level: VPLevel) -> np.ndarray:
@@ -281,38 +283,38 @@ def scaling_interp_matrix(level: VPLevel) -> np.ndarray:
     return _phi(np.eye(level.n), level).T
 
 
-def scaling_interp(level: VPLevel, k: int) -> ChebExpansion:
+def scaling_interp(level: VPLevel, k: int) -> np.ndarray:
     """k-th interpolating scaling function (Kronecker delta on the node grid)."""
-    return ChebExpansion(_phi(_unit(k, 1, level.n, "scaling index"), level))
+    return _phi(_unit(k, 1, level.n, "scaling index"), level)
 
 
-def scaling_ortho(level: VPLevel, k: int) -> ChebExpansion:
+def scaling_ortho(level: VPLevel, k: int) -> np.ndarray:
     """k-th orthonormal scaling function (localized near node k, not interpolating)."""
-    return ChebExpansion(_phi_ortho(_unit(k, 1, level.n, "scaling index"), level))
+    return _phi_ortho(_unit(k, 1, level.n, "scaling index"), level)
 
 
-def wavelet_interp(level: VPLevel, k: int) -> ChebExpansion:
+def wavelet_interp(level: VPLevel, k: int) -> np.ndarray:
     """k-th interpolating wavelet (Kronecker delta on the complement grid)."""
-    return ChebExpansion(_psi(_unit(k, 1, 2 * level.n, "wavelet index"), level))
+    return _psi(_unit(k, 1, 2 * level.n, "wavelet index"), level)
 
 
-def wavelet_ortho(level: VPLevel, k: int) -> ChebExpansion:
+def wavelet_ortho(level: VPLevel, k: int) -> np.ndarray:
     """k-th orthonormal wavelet."""
-    return ChebExpansion(_psi_ortho(_unit(k, 1, 2 * level.n, "wavelet index"), level))
+    return _psi_ortho(_unit(k, 1, 2 * level.n, "wavelet index"), level)
 
 
 # ---------------------------------------------------------------------------
 # coefficient vector <-> function conversions
 # ---------------------------------------------------------------------------
 
-def scaling_to_cheb(c: ScalingCoeffs) -> ChebExpansion:
-    """Chebyshev expansion of sum_k a_k (orthonormal scaling function k)."""
-    return ChebExpansion(_phi_ortho(c.a, c.level))
+def scaling_to_cheb(c: ScalingCoeffs) -> np.ndarray:
+    """p-coefficients of sum_k a_k (orthonormal scaling function k)."""
+    return _phi_ortho(c.a, c.level)
 
 
-def detail_to_cheb(d: DetailCoeffs) -> ChebExpansion:
-    """Chebyshev expansion of sum_k b_k (orthonormal wavelet k)."""
-    return ChebExpansion(_psi_ortho(d.b, d.level))
+def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
+    """p-coefficients of sum_k b_k (orthonormal wavelet k)."""
+    return _psi_ortho(d.b, d.level)
 
 
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:

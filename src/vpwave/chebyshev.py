@@ -16,7 +16,6 @@ along the last axis, so a stack of sequences is transformed at once.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -25,49 +24,23 @@ SQRT_1_PI = 1.0 / math.sqrt(math.pi)
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
-class ChebGrid:
+def cheb_nodes(n: int) -> np.ndarray:
     """Chebyshev zeros x_k = cos((2k-1) pi / (2n)), k = 1..n, in decreasing order."""
-
-    n: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class YGrid:
-    """The 2n nodes of cheb_nodes(3n) that are not in cheb_nodes(n).
-
-    Ordering interleaves the fine grid: y_{2k-1} = x_{3k-2} and
-    y_{2k} = x_{3k} of the 3n-grid, for k = 1..n.
-    """
-
-    n: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-
-
-def cheb_nodes(n: int) -> ChebGrid:
-    """Chebyshev zero grid of size n."""
     if n < 1:
         raise ValueError(f"grid size must be positive, got {n}")
     k = np.arange(1, n + 1)
     # the ratio is formed before multiplying by pi so that the coarse grid
     # reproduces every third fine-grid angle bit-for-bit (x_k^n = x_{3k-1}^{3n})
-    return ChebGrid(n, np.cos(((2 * k - 1) / (2 * n)) * np.pi))
+    return np.cos(((2 * k - 1) / (2 * n)) * np.pi)
 
 
-def y_nodes(n: int) -> YGrid:
-    """Complement grid of cheb_nodes(n) inside cheb_nodes(3n), interleaved."""
+def y_nodes(n: int) -> np.ndarray:
+    """The 2n nodes of cheb_nodes(3n) that are not in cheb_nodes(n), interleaving
+    the fine grid: y_{2k-1} = x_{3k-2} and y_{2k} = x_{3k}, for k = 1..n."""
     if n < 1:
         raise ValueError(f"grid size must be positive, got {n}")
-    fine = cheb_nodes(3 * n).nodes
     keep = np.arange(1, 3 * n + 1) % 3 != 2  # drop positions 3k-1 (1-based)
-    return YGrid(n, fine[keep].copy())
+    return cheb_nodes(3 * n)[keep]
 
 
 def _check_domain(x):
@@ -117,7 +90,7 @@ def gauss_cheb_quad(f, n: int) -> float:
     """Gauss-Chebyshev rule (pi/n) sum f(x_k); exact on P_{2n-1} against w."""
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
-    xs = cheb_nodes(n).nodes
+    xs = cheb_nodes(n)
     try:
         vals = np.asarray(f(xs), dtype=float)
         if vals.shape != xs.shape:
@@ -125,27 +98,6 @@ def gauss_cheb_quad(f, n: int) -> float:
     except TypeError:
         vals = np.array([f(x) for x in xs], dtype=float)
     return float(np.pi / n * vals.sum())
-
-
-@dataclass(frozen=True)
-class ChebExpansion:
-    """Coefficients c_0..c_d of sum_r c_r p_r(x)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def expansion(coeffs) -> ChebExpansion:
-    coeffs = np.array(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("expansion needs a nonempty coefficient sequence")
-    return ChebExpansion(coeffs)
 
 
 def eval_series(coeffs, x) -> np.ndarray:
@@ -159,12 +111,6 @@ def eval_series(coeffs, x) -> np.ndarray:
         block = c[..., start:start + step]
         out += block @ eval_p_table(np.arange(start, start + block.shape[-1]), x)
     return out.reshape(c.shape[:-1] + x.shape)
-
-
-def eval_expansion(e: ChebExpansion, x):
-    """Value of the expansion at x in [-1, 1] (scalar or array)."""
-    out = eval_series(e.coeffs, x)
-    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def probe_grid(grid_size: int) -> np.ndarray:

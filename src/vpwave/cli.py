@@ -142,7 +142,7 @@ def _read_samples(path: str) -> np.ndarray:
 def cmd_decompose(args) -> int:
     n_top = args.n0 * 3 ** args.levels
     if args.f is not None:
-        samples = get_function(args.f)(cheb_nodes(n_top).nodes)
+        samples = get_function(args.f)(cheb_nodes(n_top))
     else:
         samples = _read_samples(args.samples)
         if samples.size != n_top:
@@ -176,9 +176,8 @@ def cmd_basis(args) -> int:
     idx = getattr(args, index_kind)
     if idx is None:
         raise ValueError(f"family {args.family!r} needs --{index_kind}")
-    exp = _BASIS_BUILDERS[args.family](level, idx)
     xs = probe_grid(args.grid)
-    vals = probe_values(exp.coeffs, args.grid)
+    vals = probe_values(_BASIS_BUILDERS[args.family](level, idx), args.grid)
     lines = ["x,value"]
     lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals))
     _write_files({args.out: "\n".join(lines) + "\n"})

@@ -13,6 +13,7 @@ in :mod:`vpwave.bases`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +28,9 @@ class VPLevel:
     m: int
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.n, self.m)):
+            raise ValueError(f"level needs integers n and m, got (n={self.n!r}, m={self.m!r})")
         if not 0 < self.m < self.n:
             raise ValueError(f"level requires 0 < m < n, got (n={self.n}, m={self.m})")
 

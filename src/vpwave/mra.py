@@ -44,7 +44,7 @@ def decompose_step(fine: ScalingCoeffs) -> tuple[ScalingCoeffs, DetailCoeffs]:
     if m >= n:
         raise ValueError(f"m={m} too large to split down to n={n}")
     level = VPLevel(n, m)
-    c = scaling_to_cheb(fine).coeffs
+    c = scaling_to_cheb(fine)
     a = scaling_synthesis(approx_gather(c, level), level)
     b = detail_synthesis(detail_unscale(detail_gather(c, level), level), level)
     return ScalingCoeffs(level, a), DetailCoeffs(level, b)
@@ -55,8 +55,8 @@ def reconstruct_step(a: ScalingCoeffs, b: DetailCoeffs) -> ScalingCoeffs:
     if a.level != b.level:
         raise ValueError(f"level mismatch: scaling {a.level} vs detail {b.level}")
     level3 = VPLevel(3 * a.level.n, a.level.m)
-    coarse = scaling_to_cheb(a).coeffs
-    c = detail_to_cheb(b).coeffs.copy()
+    coarse = scaling_to_cheb(a)
+    c = detail_to_cheb(b)
     c[:coarse.size] += coarse
     return ScalingCoeffs(level3, scaling_synthesis(approx_gather(c, level3), level3))
 
@@ -74,7 +74,8 @@ class MultiDecomposition:
     as m = floor(theta * n0): a single m keeps every one-step split and the
     whole telescoping sum exact, which a per-level m would break (the same
     coefficient vector would be read against different bases at consecutive
-    steps).
+    steps).  So a base level other than (n0, m), or a detail level other than
+    (n0 3^i, m), raises PyramidError.
     """
 
     theta: float
@@ -84,10 +85,17 @@ class MultiDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "details", tuple(self.details))
         n = self.base.level.n
+        try:
+            m = pyramid_m(n, self.theta)
+        except (TypeError, ValueError) as exc:
+            raise PyramidError(str(exc)) from exc
+        if self.base.level.m != m:
+            raise PyramidError(f"base level {self.base.level} does not have m = {m} "
+                               f"= floor(theta * n0) for theta = {self.theta}")
         for d in self.details:
-            if d.level.n != n:
-                raise PyramidError(
-                    f"detail at n={d.level.n} breaks the factor-3 chain (expected {n})")
+            if d.level != VPLevel(n, m):
+                raise PyramidError(f"detail level (n={d.level.n}, m={d.level.m}) breaks "
+                                   f"the chain (expected ({n}, {m}))")
             n *= 3
 
     @property
@@ -183,7 +191,7 @@ def _rebuild(decomp: MultiDecomposition,
 def threshold_hard(decomp: MultiDecomposition,
                    cutoff: float) -> tuple[MultiDecomposition, ThresholdReport]:
     """Zero every detail coefficient with |b| strictly below ``cutoff``."""
-    if cutoff < 0:
+    if not cutoff >= 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     kept = [np.where(np.abs(d.b) < cutoff, 0.0, d.b) for d in decomp.details]
     return _rebuild(decomp, kept)
@@ -231,7 +239,7 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
     except json.JSONDecodeError as exc:
         raise PyramidError(f"malformed pyramid JSON: {exc}") from exc
     try:
-        theta = float(doc["theta"])
+        theta = _json_number(doc["theta"])
         n0 = _json_int(doc["n0"])
         levels = _json_int(doc["L"])
         base_vals = _finite_values(doc["base"])
@@ -242,29 +250,24 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
         raise PyramidError(f"pyramid document missing or mistyped fields: {exc}") from exc
     if len(raw_details) != levels:
         raise PyramidError(f"pyramid lists {len(raw_details)} details but L={levels}")
+    if base_vals.shape != (n0,):
+        raise PyramidError(f"base has {base_vals.size} coefficients, expected {n0}")
     try:
         m = pyramid_m(n0, theta)
     except ValueError as exc:
         raise PyramidError(str(exc)) from exc
-    if base_vals.shape != (n0,):
-        raise PyramidError(f"base has {base_vals.size} coefficients, expected {n0}")
     base = ScalingCoeffs(VPLevel(n0, m), base_vals)
     details = []
-    n = n0
     for entry in raw_details:
         try:
-            dn, dm = _json_int(entry["n"]), _json_int(entry["m"])
+            level = VPLevel(_json_int(entry["n"]), _json_int(entry["m"]))
             vals = _finite_values(entry["b"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PyramidError(f"bad detail entry: {exc}") from exc
-        if dn != n or dm != m:
-            raise PyramidError(
-                f"detail level (n={dn}, m={dm}) breaks the chain (expected ({n}, {m}))")
-        if vals.shape != (2 * dn,):
-            raise PyramidError(f"detail at n={dn} has {vals.size} coefficients, "
-                               f"expected {2 * dn}")
-        details.append(DetailCoeffs(VPLevel(dn, dm), vals))
-        n *= 3
+        if vals.shape != (2 * level.n,):
+            raise PyramidError(f"detail at n={level.n} has {vals.size} coefficients, "
+                               f"expected {2 * level.n}")
+        details.append(DetailCoeffs(level, vals))
     return MultiDecomposition(theta, base, tuple(details))
 
 
@@ -272,6 +275,13 @@ def _json_int(value) -> int:
     """A JSON integer; floats such as 5.7 (or 5.0) and booleans are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_number(value) -> int | float:
+    """A JSON number; strings such as "0.5" and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
     return value
 
 

@@ -35,7 +35,6 @@ from .bases import (
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
-    ChebExpansion,
     cheb_nodes,
     dct,
     eval_p_table,
@@ -96,7 +95,7 @@ def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> Scal
         raise ValueError(f"quadrature size {n_quad} underresolves the projection (n={n})")
     # g_r = (pi/N) sum_k f(x_k) p_r(x_k); on the N-point grid p_N vanishes and
     # p_r = -p_{2N-r}, which supplies the degrees N < r < n+m when N is small
-    g = np.sqrt(np.pi / n_quad) * dct(np.asarray(f(cheb_nodes(n_quad).nodes), dtype=float))
+    g = np.sqrt(np.pi / n_quad) * dct(np.asarray(f(cheb_nodes(n_quad)), dtype=float))
     if n_quad < n + m:
         g = np.concatenate([g, [0.0], -g[n_quad - 1:2 * n_quad - n - m:-1]])
     return ScalingCoeffs(level, scaling_synthesis(approx_gather(g, level), level))
@@ -110,13 +109,13 @@ def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
     return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * scaling_synthesis(dct(samples), level))
 
 
-def vp_interp(samples, level: VPLevel) -> ChebExpansion:
+def vp_interp(samples, level: VPLevel) -> np.ndarray:
     """Interpolating mean of the samples: the element of V matching them on
-    the node grid, as a Chebyshev expansion of degree <= n+m-1."""
+    the node grid, as its p-coefficients of degrees 0..n+m-1."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (level.n,):
         raise ValueError(f"expected {level.n} samples, got {samples.shape}")
-    return ChebExpansion(_phi(samples, level))
+    return _phi(samples, level)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndar
 def _lebesgue_rows(level: VPLevel, kind: LebesgueKind) -> tuple[np.ndarray, str]:
     """Rows whose |values| sum to lambda-tilde or lambda-bar, and how to describe it."""
     if kind is LebesgueKind.LAMBDA_TILDE:
-        rows = (np.pi / level.n) * _kernel_sections(level, cheb_nodes(level.n).nodes)
+        rows = (np.pi / level.n) * _kernel_sections(level, cheb_nodes(level.n))
         return rows, f"exact node sum over {level.n} kernel sections"
     spec = f"exact sum of {level.n} interpolating scaling functions"
     return scaling_interp_matrix(level).T, spec
@@ -227,7 +226,7 @@ def discrete_norm(samples, p: float) -> float:
         raise ValueError("expected a nonempty 1-d sample sequence")
     if p == np.inf:
         return float(np.max(np.abs(samples)))
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be inf or >= 1, got {p}")
     n = samples.size
     return float((np.pi / n * np.sum(np.abs(samples) ** p)) ** (1.0 / p))
@@ -240,13 +239,13 @@ class ErrorPoint:
     error: float
 
 
-def approximant(f: Callable, level: VPLevel, kind: OperatorKind) -> ChebExpansion:
-    """Chebyshev expansion of the chosen approximant of f at ``level``."""
+def approximant(f: Callable, level: VPLevel, kind: OperatorKind) -> np.ndarray:
+    """p-coefficients of the chosen approximant of f at ``level``."""
     kind = OperatorKind(kind)
     if kind is OperatorKind.VP_INTERP:
-        return vp_interp(f(cheb_nodes(level.n).nodes), level)
+        return vp_interp(f(cheb_nodes(level.n)), level)
     if kind is OperatorKind.DISCRETE_PROJ:
-        return scaling_to_cheb(discrete_proj(f(cheb_nodes(level.n).nodes), level))
+        return scaling_to_cheb(discrete_proj(f(cheb_nodes(level.n)), level))
     return scaling_to_cheb(fourier_proj(f, level))
 
 
@@ -265,6 +264,6 @@ def error_curve(f: Callable, kind: OperatorKind, theta: float,
             continue
         level = VPLevel(n, m)
         approx = approximant(f, level, kind)
-        err = sup_error(f, lambda xs: probe_values(approx.coeffs, grid_size), grid_size)
+        err = sup_error(f, lambda xs: probe_values(approx, grid_size), grid_size)
         out.append(ErrorPoint(n, m, err))
     return out

@@ -74,9 +74,9 @@ def test_criterion_1_orthonormality(n, m):
 def test_criterion_2_interpolation_deltas():
     level = VPLevel(13, 6)
     phi_vals = scaling_interp_matrix(level).T @ eval_p_table(
-        np.arange(19), cheb_nodes(13).nodes)
+        np.arange(19), cheb_nodes(13))
     psi_vals = wavelet_interp_matrix(level).T @ eval_p_table(
-        np.arange(45), y_nodes(13).nodes)
+        np.arange(45), y_nodes(13))
     dev = max(max_dev(phi_vals, np.eye(13)), max_dev(psi_vals, np.eye(26)))
     report(2, "interpolation deltas (13,6)", dev < 1e-11, f"max deviation {dev:.2e}")
 
@@ -168,19 +168,19 @@ def test_criterion_5_fast_dense_equivalence_and_speed():
 
 def test_criterion_6_polynomial_reproduction():
     level = VPLevel(40, 20)
-    nodes = cheb_nodes(40).nodes
+    nodes = cheb_nodes(40)
     worst = 0.0
     for r in range(0, 21):  # r <= n - m
         target = np.zeros(60)
         target[r] = 1.0
         samples = eval_p(r, nodes)
-        worst = max(worst, max_dev(vp_interp(samples, level).coeffs, target))
+        worst = max(worst, max_dev(vp_interp(samples, level), target))
         worst = max(worst, max_dev(
-            scaling_to_cheb(discrete_proj(samples, level)).coeffs, target))
+            scaling_to_cheb(discrete_proj(samples, level)), target))
         worst = max(worst, max_dev(scaling_to_cheb(
-            fourier_proj(lambda x, r=r: eval_p(r, x), level)).coeffs, target))
+            fourier_proj(lambda x, r=r: eval_p(r, x), level)), target))
     # splitting such content produces no detail
-    fine_nodes = cheb_nodes(120).nodes
+    fine_nodes = cheb_nodes(120)
     detail_max = 0.0
     for r in (0, 11, 20):
         samples = eval_p(r, fine_nodes)
@@ -236,15 +236,15 @@ def test_criterion_8_convergence_rates():
 def test_criterion_9_worked_example():
     f = get_function("sin6sign")
     n_top = 64 * 3 ** 3
-    samples = f(cheb_nodes(n_top).nodes)
+    samples = f(cheb_nodes(n_top))
     decomp = decompose_multi(samples, 64, 3, 0.7)
     top = reconstruct_multi(decomp)
 
     xs = probe_grid(2000)
-    total = eval_series(scaling_to_cheb(decomp.base).coeffs, xs)
+    total = eval_series(scaling_to_cheb(decomp.base), xs)
     for d in decomp.details:
-        total = total + eval_series(detail_to_cheb(d).coeffs, xs)
-    dev = float(np.abs(total - eval_series(scaling_to_cheb(top).coeffs, xs)).max())
+        total = total + eval_series(detail_to_cheb(d), xs)
+    dev = float(np.abs(total - eval_series(scaling_to_cheb(top), xs)).max())
 
     text = pyramid_to_json(decomp)
     back = pyramid_from_json(text)

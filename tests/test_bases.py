@@ -31,7 +31,6 @@ from vpwave.bases import (
 )
 from vpwave.chebyshev import (
     cheb_nodes,
-    eval_expansion,
     eval_p,
     eval_p_table,
     eval_series,
@@ -47,21 +46,21 @@ def test_approx_basis_low_degrees_are_plain_chebyshev():
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, 50)
     for r in (0, 3, 7):  # r <= n - m
-        assert_allclose(eval_series(approx_basis(L136, r).coeffs, xs),
+        assert_allclose(eval_series(approx_basis(L136, r), xs),
                         eval_p(r, xs), rtol=0, atol=1e-14)
 
 
 def test_approx_basis_at_nodes_equals_plain_chebyshev():
     # on the node grid the ramp terms cancel against the reflection identity
-    xs = cheb_nodes(13).nodes
+    xs = cheb_nodes(13)
     for r in range(13):
-        assert_allclose(eval_series(approx_basis(L136, r).coeffs, xs),
+        assert_allclose(eval_series(approx_basis(L136, r), xs),
                         eval_p(r, xs), rtol=0, atol=1e-13)
 
 
 def test_expansion_of_ramp_basis_at_a_node():
-    x3 = cheb_nodes(13).nodes[2]
-    got = eval_expansion(approx_basis(L136, 12), x3)
+    x3 = cheb_nodes(13)[2]
+    got = eval_series(approx_basis(L136, 12), x3)[0]
     assert got == pytest.approx(eval_p(12, x3), abs=1e-12)
 
 
@@ -75,7 +74,7 @@ def test_detail_basis_middle_band_is_plain_chebyshev():
     rng = np.random.default_rng(1)
     xs = rng.uniform(-1, 1, 50)
     for r in (19, 26, 33):  # n + m <= r <= 3n - m
-        assert_allclose(eval_series(detail_basis(L136, r).coeffs, xs),
+        assert_allclose(eval_series(detail_basis(L136, r), xs),
                         eval_p(r, xs), rtol=0, atol=1e-13)
 
 
@@ -116,7 +115,7 @@ def test_basis_index_validation():
 
 
 def test_interp_scaling_deltas():
-    vals = scaling_interp_matrix(L136).T @ eval_p_table(np.arange(19), cheb_nodes(13).nodes)
+    vals = scaling_interp_matrix(L136).T @ eval_p_table(np.arange(19), cheb_nodes(13))
     assert max_dev(vals, np.eye(13)) < 1e-12
 
 
@@ -130,7 +129,7 @@ def test_interp_scaling_partition_of_unity():
 def test_interp_scaling_change_of_basis_form():
     # (pi/n) sum_r p_r(x_k) q_r(x) reproduces the direct expansion
     n = 13
-    nodes = cheb_nodes(n).nodes
+    nodes = cheb_nodes(n)
     table = eval_p_table(np.arange(n), nodes)
     alt = approx_scatter(L136) @ ((np.pi / n) * table)
     assert max_dev(alt, scaling_interp_matrix(L136)) < 1e-12
@@ -144,7 +143,7 @@ def test_ortho_scaling_gram_identity():
 def test_ortho_scaling_interp_expansion_form():
     # expansion over the interpolating family with Darboux-kernel weights
     n = 13
-    nodes = cheb_nodes(n).nodes
+    nodes = cheb_nodes(n)
     table = eval_p_table(np.arange(n), nodes)
     weights = (table / np.sqrt(approx_norms_sq(L136))[:, None])
     mix = np.sqrt(np.pi / n) * (weights.T @ table)  # entry (k, h)
@@ -153,14 +152,14 @@ def test_ortho_scaling_interp_expansion_form():
 
 
 def test_ortho_scaling_is_not_interpolating():
-    nodes = cheb_nodes(13).nodes
-    diag = np.array([eval_expansion(scaling_ortho(L136, k), nodes[k - 1])
+    nodes = cheb_nodes(13)
+    diag = np.array([eval_series(scaling_ortho(L136, k), nodes[k - 1])[0]
                      for k in range(1, 14)])
     assert np.abs(diag - 1.0).max() > 0.01
 
 
 def test_interp_wavelet_deltas():
-    y = y_nodes(13).nodes
+    y = y_nodes(13)
     vals = wavelet_interp_matrix(L136).T @ eval_p_table(np.arange(45), y)
     assert max_dev(vals, np.eye(26)) < 1e-11
 
@@ -171,9 +170,9 @@ def test_interp_wavelet_orthogonal_to_scaling():
 
 
 def test_interp_wavelet_localization():
-    y = y_nodes(13).nodes
+    y = y_nodes(13)
     xs = np.cos(np.linspace(0, np.pi, 4001))
-    vals = np.abs(eval_series(wavelet_interp(L136, 4).coeffs, xs))
+    vals = np.abs(eval_series(wavelet_interp(L136, 4), xs))
     peak = xs[np.argmax(vals)]
     spacing = max(abs(y[3] - y[2]), abs(y[4] - y[3]))
     assert abs(peak - y[3]) <= 2 * spacing
@@ -214,8 +213,8 @@ def test_scaling_to_cheb_matches_pointwise_basis():
         coeffs = np.zeros(13)
         coeffs[k - 1] = 1.0
         e = scaling_to_cheb(ScalingCoeffs(L136, coeffs))
-        assert_allclose(eval_series(e.coeffs, xs),
-                        eval_series(scaling_ortho(L136, k).coeffs, xs),
+        assert_allclose(eval_series(e, xs),
+                        eval_series(scaling_ortho(L136, k), xs),
                         rtol=0, atol=1e-12)
 
 
@@ -225,16 +224,16 @@ def test_scaling_roundtrip_of_low_degree_content():
     for r in range(8):
         target = np.zeros(19)
         target[r] = 1.0
-        samples = eval_p(r, cheb_nodes(13).nodes)
+        samples = eval_p(r, cheb_nodes(13))
         e = scaling_to_cheb(values_to_ortho(samples, L136))
-        assert max_dev(e.coeffs, target) < 1e-14
+        assert max_dev(e, target) < 1e-14
 
 
 def test_scaling_to_cheb_preserves_energy():
     rng = np.random.default_rng(4)
     a = rng.standard_normal(13)
     e = scaling_to_cheb(ScalingCoeffs(L136, a))
-    gram = quad_gram(e.coeffs[:, None], e.coeffs[:, None], 4 * 19)
+    gram = quad_gram(e[:, None], e[:, None], 4 * 19)
     assert gram[0, 0] == pytest.approx(a @ a, abs=1e-12)
 
 
@@ -245,8 +244,8 @@ def test_detail_to_cheb_matches_pointwise_basis():
         coeffs = np.zeros(26)
         coeffs[k - 1] = 1.0
         e = detail_to_cheb(DetailCoeffs(L136, coeffs))
-        assert_allclose(eval_series(e.coeffs, xs),
-                        eval_series(wavelet_ortho(L136, k).coeffs, xs),
+        assert_allclose(eval_series(e, xs),
+                        eval_series(wavelet_ortho(L136, k), xs),
                         rtol=0, atol=1e-12)
 
 
@@ -254,9 +253,9 @@ def test_detail_to_cheb_preserves_energy_and_moment_band():
     rng = np.random.default_rng(6)
     b = rng.standard_normal(26)
     e = detail_to_cheb(DetailCoeffs(L136, b))
-    gram = quad_gram(e.coeffs[:, None], e.coeffs[:, None], 8 * 13)
+    gram = quad_gram(e[:, None], e[:, None], 8 * 13)
     assert gram[0, 0] == pytest.approx(b @ b, abs=1e-12)
-    assert np.abs(e.coeffs[: 13 - 6]).max() == 0.0
+    assert np.abs(e[: 13 - 6]).max() == 0.0
 
 
 def test_values_to_ortho_dense_triple_sum():
@@ -264,7 +263,7 @@ def test_values_to_ortho_dense_triple_sum():
     n, m = 13, 6
     rng = np.random.default_rng(7)
     f = rng.standard_normal(n)
-    table = eval_p_table(np.arange(n), cheb_nodes(n).nodes)
+    table = eval_p_table(np.arange(n), cheb_nodes(n))
     root_norms = np.sqrt(approx_norms_sq(L136))
     dense = np.empty(n)
     for k in range(n):
@@ -288,17 +287,17 @@ def test_values_ortho_roundtrips():
 def test_constant_samples_give_constant_function():
     c = values_to_ortho(np.ones(13), L136)
     e = scaling_to_cheb(c)
-    assert e.coeffs[0] == pytest.approx(np.sqrt(np.pi), abs=1e-14)
-    assert np.abs(e.coeffs[1:]).max() < 1e-14
+    assert e[0] == pytest.approx(np.sqrt(np.pi), abs=1e-14)
+    assert np.abs(e[1:]).max() < 1e-14
 
 
 def test_ortho_to_values_impulse_gives_basis_values():
-    nodes = cheb_nodes(13).nodes
+    nodes = cheb_nodes(13)
     for k in (1, 6, 13):
         coeffs = np.zeros(13)
         coeffs[k - 1] = 1.0
         vals = ortho_to_values(ScalingCoeffs(L136, coeffs))
-        expected = eval_series(scaling_ortho(L136, k).coeffs, nodes)
+        expected = eval_series(scaling_ortho(L136, k), nodes)
         assert max_dev(vals, expected) < 1e-12
 
 
@@ -318,6 +317,19 @@ def test_coefficient_container_validation():
         DetailCoeffs(L136, np.zeros(13))
     with pytest.raises(ValueError):
         values_to_ortho(np.zeros(14), L136)
+
+
+def test_coefficient_containers_own_their_arrays():
+    # the caller's array stays writable, and writes to it (or to the array a
+    # view came from) do not reach the stored, read-only copy
+    x = np.arange(13.0)
+    c = ScalingCoeffs(L136, x)
+    x[0] = 9.0
+    assert c.a[0] == 0.0 and not c.a.flags.writeable
+    big = np.arange(40.0)
+    d = DetailCoeffs(L136, big[:26])
+    big[:] = -1.0
+    assert np.array_equal(d.b, np.arange(26.0)) and not d.b.flags.writeable
 
 
 def test_change_of_basis_forward_backward_identity():

@@ -8,10 +8,8 @@ from oracles import dct_matrix, probe_table, series_mp
 from vpwave.chebyshev import (
     cheb_nodes,
     dct,
-    eval_expansion,
     eval_p,
     eval_series,
-    expansion,
     gauss_cheb_quad,
     idct,
     probe_values,
@@ -21,13 +19,13 @@ from vpwave.chebyshev import (
 
 
 def test_nodes_small():
-    assert_allclose(cheb_nodes(1).nodes, [0.0], atol=1e-16)
-    assert_allclose(cheb_nodes(2).nodes, [math.sqrt(2) / 2, -math.sqrt(2) / 2],
+    assert_allclose(cheb_nodes(1), [0.0], atol=1e-16)
+    assert_allclose(cheb_nodes(2), [math.sqrt(2) / 2, -math.sqrt(2) / 2],
                     rtol=0, atol=1e-15)
 
 
 def test_nodes_decreasing_in_open_interval():
-    xs = cheb_nodes(57).nodes
+    xs = cheb_nodes(57)
     assert np.all(np.diff(xs) < 0)
     assert np.all(np.abs(xs) < 1)
 
@@ -40,8 +38,8 @@ def test_nodes_reject_zero():
 @pytest.mark.parametrize("n", [4, 13, 40])
 def test_node_nesting(n):
     # node k of the n-grid is node 3k-1 of the 3n-grid, to <= 1 ulp
-    coarse = cheb_nodes(n).nodes
-    fine = cheb_nodes(3 * n).nodes
+    coarse = cheb_nodes(n)
+    fine = cheb_nodes(3 * n)
     k = np.arange(1, n + 1)
     dev = np.abs(coarse - fine[3 * k - 2])
     assert dev.max() <= np.spacing(1.0)
@@ -49,13 +47,13 @@ def test_node_nesting(n):
 
 def test_y_nodes_interleave_and_complement():
     n = 13
-    y = y_nodes(n).nodes
-    fine = cheb_nodes(3 * n).nodes
+    y = y_nodes(n)
+    fine = cheb_nodes(3 * n)
     k = np.arange(1, n + 1)
     assert_allclose(y[0::2], fine[3 * k - 3], rtol=0, atol=0)
     assert_allclose(y[1::2], fine[3 * k - 1], rtol=0, atol=0)
     # as a set: the fine grid minus the coarse grid
-    coarse = set(cheb_nodes(n).nodes)
+    coarse = set(cheb_nodes(n))
     assert set(y) == set(fine) - coarse
 
 
@@ -76,7 +74,7 @@ def test_eval_p_domain_errors():
 @pytest.mark.parametrize("n", [8, 13])
 def test_node_reflection_identity(n):
     # p_{2n-r}(x_k) = -p_r(x_k) on the n-point grid
-    xs = cheb_nodes(n).nodes
+    xs = cheb_nodes(n)
     for r in range(1, n):
         assert_allclose(eval_p(2 * n - r, xs), -eval_p(r, xs), rtol=0, atol=1e-13)
 
@@ -170,16 +168,14 @@ def test_quadrature_accepts_scalar_function():
 
 
 def test_expansion_constant():
-    e = expansion([math.sqrt(math.pi)])
     for x in (-1.0, -0.2, 0.9):
-        assert eval_expansion(e, x) == pytest.approx(1.0, abs=1e-15)
+        assert eval_series([math.sqrt(math.pi)], x)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_expansion_single_mode_matches_eval_p():
-    e = expansion([0, 0, 0, 0, 0, 1.0])
     rng = np.random.default_rng(11)
     xs = rng.uniform(-1, 1, 100)
-    assert_allclose(eval_expansion(e, xs), eval_p(5, xs), rtol=0, atol=1e-14)
+    assert_allclose(eval_series([0, 0, 0, 0, 0, 1.0], xs), eval_p(5, xs), rtol=0, atol=1e-14)
 
 
 def test_eval_series_degree_5000_matches_mpmath():
@@ -221,7 +217,7 @@ def test_probe_values_reject_empty_grid():
 
 def test_expansion_domain_error():
     with pytest.raises(ValueError):
-        eval_expansion(expansion([1.0, 2.0]), 1.5)
+        eval_series([1.0, 2.0], 1.5)
 
 
 def test_sup_error_basics():

@@ -177,7 +177,8 @@ def test_reconstruct_malformed_json(tmp_path):
     pyr = tmp_path / "pyr.json"
     for text in ("{broken",
                  '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": null}',
-                 '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, NaN, 0, 0, 0], "details": []}'):
+                 '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, NaN, 0, 0, 0], "details": []}',
+                 '{"theta": "0.5", "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}'):
         pyr.write_text(text)
         code = main(["reconstruct", "--pyramid", str(pyr), "--out", str(tmp_path / "r.csv")])
         assert code == 3
@@ -198,7 +199,7 @@ def test_level_zero_decompose_reconstruct(tmp_path, capsys):
     from vpwave.operators import discrete_proj
 
     f = get_function("runge")
-    expected = ortho_to_values(discrete_proj(f(cheb_nodes(10).nodes), VPLevel(10, 5)))
+    expected = ortho_to_values(discrete_proj(f(cheb_nodes(10)), VPLevel(10, 5)))
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-15)
 
 
@@ -227,7 +228,7 @@ def test_basis_command_wavelet_localization(tmp_path):
     xs = np.array([r[0] for r in rows])
     vals = np.array([r[1] for r in rows])
     assert np.all(np.isfinite(vals))
-    y = y_nodes(13).nodes
+    y = y_nodes(13)
     peak = xs[np.argmax(np.abs(vals))]
     spacing = max(abs(y[12] - y[11]), abs(y[13] - y[12]))
     assert abs(peak - y[12]) <= 2 * spacing

@@ -27,6 +27,10 @@ def test_level_validation():
         VPLevel(5, 5)
     with pytest.raises(ValueError):
         VPLevel(5, 0)
+    for n, m in ((13.0, 6), (13.5, 6), (13, 6.0), (5, True), ("13", 6)):
+        with pytest.raises(ValueError):
+            VPLevel(n, m)
+    assert VPLevel(np.int64(13), np.int64(6)) == VPLevel(13, 6)
     assert VPLevel.from_theta(13, 0.5) == VPLevel(13, 6)
     with pytest.raises(ValueError):
         VPLevel.from_theta(13, 1.0)
@@ -147,7 +151,7 @@ def test_scaling_transform_row_orthogonality():
 
 def test_scaling_transform_entry_formula():
     # degree 12, first node: sqrt(pi / (13 * 37/72)) p_12(x_1)
-    x1 = cheb_nodes(13).nodes[0]
+    x1 = cheb_nodes(13)[0]
     expected = math.sqrt(math.pi / (13 * 37 / 72)) * eval_p(12, x1)
     first_node = np.eye(13)[0]
     assert scaling_analysis(first_node, L136)[12] == pytest.approx(expected, abs=1e-15)
@@ -169,9 +173,9 @@ def test_detail_transform_orthogonal():
 def test_wavelet_interp_weight_branches():
     # psi_k = (pi/3n) sum_r w_r q~_r, so w = (3n/pi) B^T psi_k / v
     n = 13
-    y = y_nodes(n).nodes
+    y = y_nodes(n)
     for k in (1, 9, 26):
-        psi = wavelet_interp(L136, k).coeffs
+        psi = wavelet_interp(L136, k)
         w = 3 * n / math.pi * detail_gather(psi, L136) / detail_norms_sq(L136)
         assert w[0] == pytest.approx(eval_p(n, y[k - 1]), abs=1e-13)
         expected = eval_p(2 * n, y[k - 1]) + math.sqrt(2) / math.sqrt(math.pi)

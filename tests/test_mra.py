@@ -157,8 +157,8 @@ def test_zero_detail_reconstruction_embeds_same_function():
     rng = np.random.default_rng(9)
     a = ScalingCoeffs(L136, rng.standard_normal(13))
     rec = reconstruct_step(a, DetailCoeffs(L136, np.zeros(26)))
-    coarse = scaling_to_cheb(a).coeffs
-    fine = scaling_to_cheb(rec).coeffs
+    coarse = scaling_to_cheb(a)
+    fine = scaling_to_cheb(rec)
     padded = np.zeros_like(fine)
     padded[: len(coarse)] = coarse
     assert max_dev(fine, padded) < 1e-11
@@ -189,7 +189,7 @@ def test_decompose_of_polynomial_band_yields_zero_details():
     from vpwave.chebyshev import eval_p
     from vpwave.operators import discrete_proj
 
-    samples = eval_p(r, cheb_nodes(39).nodes)
+    samples = eval_p(r, cheb_nodes(39))
     a, b = decompose_step(discrete_proj(samples, lvl_top))
     assert np.abs(b.b).max() < 1e-11
 
@@ -197,7 +197,7 @@ def test_decompose_of_polynomial_band_yields_zero_details():
 def test_decompose_multi_worked_example():
     f = get_function("sin6sign")
     n_top = 64 * 3 ** 3
-    samples = f(cheb_nodes(n_top).nodes)
+    samples = f(cheb_nodes(n_top))
     decomp = decompose_multi(samples, 64, 3, 0.7)
     assert decomp.base.level == VPLevel(64, 44)
     assert [d.level.n for d in decomp.details] == [64, 192, 576]
@@ -222,14 +222,14 @@ def test_decompose_multi_worked_example():
 def test_decompose_multi_sum_of_parts():
     f = get_function("sin6sign")
     n_top = 64 * 3 ** 3
-    samples = f(cheb_nodes(n_top).nodes)
+    samples = f(cheb_nodes(n_top))
     decomp = decompose_multi(samples, 64, 3, 0.7)
     top = reconstruct_multi(decomp)
     xs = probe_grid(2000)
-    total = eval_series(scaling_to_cheb(decomp.base).coeffs, xs)
+    total = eval_series(scaling_to_cheb(decomp.base), xs)
     for d in decomp.details:
-        total = total + eval_series(detail_to_cheb(d).coeffs, xs)
-    top_vals = eval_series(scaling_to_cheb(top).coeffs, xs)
+        total = total + eval_series(detail_to_cheb(d), xs)
+    top_vals = eval_series(scaling_to_cheb(top), xs)
     assert np.abs(total - top_vals).max() < 1e-9
 
 
@@ -267,8 +267,8 @@ def test_zeroed_details_reproduce_base_at_top_level():
     assert report.kept == 0
     top = reconstruct_multi(stripped)
     xs = probe_grid(500)
-    base_vals = eval_series(scaling_to_cheb(decomp.base).coeffs, xs)
-    top_vals = eval_series(scaling_to_cheb(top).coeffs, xs)
+    base_vals = eval_series(scaling_to_cheb(decomp.base), xs)
+    top_vals = eval_series(scaling_to_cheb(top), xs)
     assert np.abs(base_vals - top_vals).max() < 1e-10
 
 
@@ -292,8 +292,9 @@ def test_threshold_identities():
     for d, e in zip(decomp.details, same.details):
         assert np.array_equal(d.b, e.b)
     assert report.energy_kept == pytest.approx(report.energy_total)
-    with pytest.raises(ValueError):
-        threshold_hard(decomp, -1.0)
+    for cutoff in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            threshold_hard(decomp, cutoff)
     with pytest.raises(ValueError):
         threshold_keep_top(decomp, 0.0)
 
@@ -317,15 +318,15 @@ def test_threshold_keep_top_splits_the_global_mask_by_level():
 
 def test_threshold_keep_top_smooth_function():
     # a smooth signal keeps its reconstruction through aggressive pruning
-    samples = np.sin(6.0 * cheb_nodes(1728).nodes)
+    samples = np.sin(6.0 * cheb_nodes(1728))
     decomp = decompose_multi(samples, 64, 3, 0.7)
     pruned, report = threshold_keep_top(decomp, 0.05)
     assert report.kept <= int(np.ceil(0.05 * report.total))
     full = reconstruct_multi(decomp)
     approx = reconstruct_multi(pruned)
     xs = probe_grid(2000)
-    dev = np.abs(eval_series(scaling_to_cheb(full).coeffs, xs)
-                 - eval_series(scaling_to_cheb(approx).coeffs, xs)).max()
+    dev = np.abs(eval_series(scaling_to_cheb(full), xs)
+                 - eval_series(scaling_to_cheb(approx), xs)).max()
     assert dev < 1e-6
 
 
@@ -361,6 +362,12 @@ _BAD_PYRAMIDS = [
     '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
     '"details": [{"n": 5, "m": 2, "b": [0, 0, 0, -Infinity, 0, 0, 0, 0, 0, 0]}]}',
     '{"theta": NaN, "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    # a string theta, numbers too large for a float, a detail off the base m
+    '{"theta": "0.5", "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 1' + '0' * 400 + ', "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 1' + '0' * 400 + ', "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
+    '"details": [{"n": 5, "m": 7, "b": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}',
 ]
 
 
@@ -375,6 +382,9 @@ def test_multidecomposition_chain_validation():
     base = ScalingCoeffs(VPLevel(5, 2), rng.standard_normal(5))
     good = DetailCoeffs(VPLevel(5, 2), rng.standard_normal(10))
     bad = DetailCoeffs(VPLevel(6, 2), rng.standard_normal(12))
+    off_m = DetailCoeffs(VPLevel(5, 3), rng.standard_normal(10))
     MultiDecomposition(0.5, base, (good,))
-    with pytest.raises(PyramidError):
-        MultiDecomposition(0.5, base, (bad,))
+    for theta, details in ((0.5, (bad,)), (0.5, (off_m,)), (0.7, (good,)), (0.7, ()),
+                           (1.5, ()), ("0.5", ())):
+        with pytest.raises(PyramidError):
+            MultiDecomposition(theta, base, details)

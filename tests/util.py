@@ -12,7 +12,7 @@ def quad_gram(coeffs_a, coeffs_b, n_quad):
     """Gram matrix of two expansion families (coefficient columns) under the
     Gauss-Chebyshev rule with n_quad nodes; exact when the pairwise product
     degrees stay below 2 n_quad."""
-    xs = cheb_nodes(n_quad).nodes
+    xs = cheb_nodes(n_quad)
     va = coeffs_a.T @ eval_p_table(np.arange(coeffs_a.shape[0]), xs)
     vb = coeffs_b.T @ eval_p_table(np.arange(coeffs_b.shape[0]), xs)
     return (np.pi / n_quad) * va @ vb.T
@@ -32,7 +32,7 @@ def split_matrices(level):
 
 
 def _columns(accessor, level, count):
-    return np.column_stack([accessor(level, k).coeffs for k in range(1, count + 1)])
+    return np.column_stack([accessor(level, k) for k in range(1, count + 1)])
 
 
 def scaling_ortho_matrix(level):
