@@ -31,7 +31,6 @@ from .chebyshev import (
     dct,
     eval_p,
     eval_series,
-    gauss_cheb_quad,
     idct,
     probe_grid,
     probe_values,

@@ -9,16 +9,17 @@ grid), orthonormal wavelets, or modified Chebyshev polynomials q~_r of
 degrees n..3n-1.
 
 Everything here composes the cosine transforms with maps written once, each
-acting on the last axis of its input: the band maps approx_spread (A: q_r to
-plain Chebyshev coefficients) and detail_spread (B: q~_r to plain), their
-transposes approx_gather and detail_gather, and the four O(n log n)
-coefficient transforms (node-indexed <-> degree-indexed, an orthogonal pair
-per space).  A q_r or q~_r off the ramp is a plain p_r of norm 1, so the band
-maps copy those degrees and touch only the ramp slices (2(m-1) values from
-filters.ramp); the norms rescale the same slices, once per space.  Every
-basis element is exported as its array of p-coefficients, a basis matrix is
-the matching map applied to an identity, and the multiresolution algorithms
-are built on top of these maps.
+acting on the last axis of its input.  The ramp is m-1 Givens pairs: over
+orthonormal bases, V and W differ from the plain p_r only on the degree pairs
+(n-j, n+j), and W also on the top pairs of level 3n, which filters.rotate
+turns.  So the Chebyshev expansion of orthonormal coefficients is their DCT
+(detail_analysis for W), padded and rotated back.  The band maps A
+(approx_spread: q_r to plain Chebyshev coefficients) and B (detail_spread:
+q~_r to plain) and their transposes approx_gather and detail_gather add
+filters.scale_norms for the norms of the unnormalized q_r and q~_r, which
+also scale the coefficient transforms (node-indexed <-> degree-indexed).
+Every basis element is exported as its array of p-coefficients, and a basis
+matrix is the matching map applied to an identity.
 """
 
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import dct, idct
-from .filters import VPLevel, ramp
+from .filters import VPLevel, rotate, scale_norms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,20 +72,29 @@ def _as_length(u, n: int) -> np.ndarray:
     return u
 
 
+def _pad(x, first: int, size: int) -> np.ndarray:
+    """x placed at entries first.. of a zero last axis of length ``size``."""
+    c = np.zeros(x.shape[:-1] + (size,))
+    c[..., first:first + x.shape[-1]] = x
+    return c
+
+
+def _head(c, size: int) -> np.ndarray:
+    """A copy of the first ``size`` entries of the last axis."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 0 or c.shape[-1] < size:
+        raise ValueError(f"expected at least {size} coefficients, got shape {c.shape}")
+    return c[..., :size].copy()
+
+
 def approx_spread(t, level: VPLevel) -> np.ndarray:
     """A: coefficients over q_0..q_{n-1} to p-coefficients of degrees 0..n+m-1.
 
     q_r is p_r for r <= n-m and mu_r p_r - mu_{2n-r} p_{2n-r} on the ramp
     n-m < r < n, so the ramp is mirrored across degree n (which stays empty).
     """
-    n, m = level.n, level.m
-    mu, mirror, _ = ramp(m)
-    t = _as_length(t, n)
-    c = np.zeros(t.shape[:-1] + (n + m,))
-    c[..., :n] = t
-    c[..., n - m + 1:n] *= mu
-    c[..., n + m - 1:n:-1] = -mirror * t[..., n - m + 1:]
-    return c
+    c = scale_norms(_pad(_as_length(t, level.n), 0, level.n + level.m), level)
+    return rotate(c, level, inverse=True)
 
 
 def approx_gather(c, level: VPLevel) -> np.ndarray:
@@ -92,14 +102,8 @@ def approx_gather(c, level: VPLevel) -> np.ndarray:
 
     Only degrees below n+m are read; anything beyond is orthogonal to V.
     """
-    n, m = level.n, level.m
-    mu, mirror, _ = ramp(m)
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 0 or c.shape[-1] < n + m:
-        raise ValueError(f"expected at least {n + m} coefficients, got shape {c.shape}")
-    t = c[..., :n].copy()
-    t[..., n - m + 1:] = mu * c[..., n - m + 1:n] - mirror * c[..., n + m - 1:n:-1]
-    return t
+    x = rotate(_head(c, level.n + level.m), level)
+    return scale_norms(x, level)[..., :level.n]
 
 
 def detail_spread(s, level: VPLevel) -> np.ndarray:
@@ -110,16 +114,10 @@ def detail_spread(s, level: VPLevel) -> np.ndarray:
     modified polynomial q_r, which is why degrees up to 3n+m-1 occur.  Since
     mu_n = 1/2, q~_n is p_n.
     """
-    n, m = level.n, level.m
-    mu, mirror, _ = ramp(m)
-    s = _as_length(s, 2 * n)
-    upper = np.zeros(s.shape[:-1] + (3 * n,))
-    upper[..., n + m:] = s[..., m:]
-    c = approx_spread(upper, VPLevel(3 * n, m))
-    entry = s[..., m - 1:0:-1]  # degrees n+m-1..n+1, the mirrors 2n-r of the ramp
-    c[..., n] += s[..., 0]
-    c[..., n + m - 1:n:-1] += mu * entry
-    c[..., n - m + 1:n] += mirror * entry
+    n = level.n
+    c = _pad(_as_length(s, 2 * n), n, 3 * n + level.m)
+    for pairs in (level, VPLevel(3 * n, level.m)):  # entry and top pairs, disjoint
+        rotate(scale_norms(c, pairs), pairs, inverse=True)
     return c
 
 
@@ -128,21 +126,11 @@ def detail_gather(c, level: VPLevel) -> np.ndarray:
 
     Only degrees below 3n+m are read; anything beyond is orthogonal to W.
     """
-    n, m = level.n, level.m
-    mu, mirror, _ = ramp(m)
-    s = approx_gather(c, VPLevel(3 * n, m))[..., n:]  # degree n is copied there
-    s[..., m - 1:0:-1] = mu * c[..., n + m - 1:n:-1] + mirror * c[..., n - m + 1:n]
-    return s
-
-
-def detail_unscale(s, level: VPLevel) -> np.ndarray:
-    """Divide W coefficients in place by the basis norms, which differ from 1
-    only on the entry band n < r < n+m and the top band 3n-m < r < 3n."""
-    n, m = level.n, level.m
-    root = np.sqrt(ramp(m).norms_sq)
-    s[..., m - 1:0:-1] /= root
-    s[..., 2 * n - m + 1:] /= root
-    return s
+    n = level.n
+    x = _head(c, 3 * n + level.m)
+    for pairs in (level, VPLevel(3 * n, level.m)):
+        scale_norms(rotate(x, pairs), pairs)
+    return x[..., n:3 * n]
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +140,12 @@ def detail_unscale(s, level: VPLevel) -> np.ndarray:
 def scaling_analysis(u, level: VPLevel) -> np.ndarray:
     """Node-indexed to degree-indexed coefficients in the approximation space:
     a DCT with the top m-1 entries (the ramp) rescaled by the basis norms."""
-    t = dct(_as_length(u, level.n))
-    t[..., level.n - level.m + 1:] /= np.sqrt(ramp(level.m).norms_sq)
-    return t
+    return scale_norms(dct(_as_length(u, level.n)), level, inverse=True)
 
 
 def scaling_synthesis(t, level: VPLevel) -> np.ndarray:
     """Transpose of scaling_analysis (inverse only where the norms are 1)."""
-    t = _as_length(t, level.n).copy()
-    t[..., level.n - level.m + 1:] /= np.sqrt(ramp(level.m).norms_sq)
-    return idct(t)
+    return idct(scale_norms(_as_length(t, level.n).copy(), level, inverse=True))
 
 
 def _complement_scatter(u, n: int) -> np.ndarray:
@@ -236,8 +220,9 @@ def _phi(u, level: VPLevel) -> np.ndarray:
 
 
 def _phi_ortho(a, level: VPLevel) -> np.ndarray:
-    """p-coefficients of sum_k a_k (orthonormal scaling function k)."""
-    return approx_spread(scaling_analysis(a, level), level)
+    """p-coefficients of sum_k a_k (orthonormal scaling function k): its DCT
+    holds the coordinates over the orthonormal q_r/nu_r."""
+    return rotate(_pad(dct(a), 0, level.n + level.m), level, inverse=True)
 
 
 def _psi(u, level: VPLevel) -> np.ndarray:
@@ -254,8 +239,13 @@ def _psi(u, level: VPLevel) -> np.ndarray:
 
 
 def _psi_ortho(b, level: VPLevel) -> np.ndarray:
-    """p-coefficients of sum_k b_k (orthonormal wavelet k)."""
-    return detail_spread(detail_unscale(detail_analysis(b, level), level), level)
+    """p-coefficients of sum_k b_k (orthonormal wavelet k): detail_analysis
+    gives the coordinates over the orthonormal q~_r/||q~_r||."""
+    n = level.n
+    c = _pad(detail_analysis(b, level), n, 3 * n + level.m)
+    for pairs in (level, VPLevel(3 * n, level.m)):
+        rotate(c, pairs, inverse=True)
+    return c
 
 
 def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
@@ -320,8 +310,7 @@ def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:
     """Orthonormal coefficients of the unique element of V that interpolates
     ``samples`` on the level-n Chebyshev grid (node order)."""
-    t = dct(_as_length(samples, level.n))
-    t[..., level.n - level.m + 1:] *= np.sqrt(ramp(level.m).norms_sq)
+    t = scale_norms(dct(_as_length(samples, level.n)), level)
     return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * idct(t))
 
 

@@ -86,31 +86,20 @@ def _nonempty(v) -> np.ndarray:
     return v
 
 
-def gauss_cheb_quad(f, n: int) -> float:
-    """Gauss-Chebyshev rule (pi/n) sum f(x_k); exact on P_{2n-1} against w."""
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
-    xs = cheb_nodes(n)
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([f(x) for x in xs], dtype=float)
-    return float(np.pi / n * vals.sum())
-
-
-def eval_series(coeffs, x) -> np.ndarray:
+def eval_series(coeffs, x):
     """Sum_r c_r p_r(x) along the last axis of coeffs, from cos(r arccos x), taking
-    the degrees in blocks of about 2^20 table entries rather than in one table."""
-    x = np.atleast_1d(_check_domain(x))
+    the degrees in blocks of about 2^20 table entries rather than in one table.
+    The result has shape coeffs.shape[:-1] + x.shape: a float for 1-d coeffs
+    and a scalar x."""
+    x = _check_domain(x)
     c = np.asarray(coeffs, dtype=float)
     out = np.zeros(c.shape[:-1] + (x.size,))
     step = max(1, (1 << 20) // (x.size or 1))
     for start in range(0, c.shape[-1], step):
         block = c[..., start:start + step]
         out += block @ eval_p_table(np.arange(start, start + block.shape[-1]), x)
-    return out.reshape(c.shape[:-1] + x.shape)
+    out = out.reshape(c.shape[:-1] + x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def probe_grid(grid_size: int) -> np.ndarray:

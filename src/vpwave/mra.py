@@ -4,9 +4,11 @@ thresholding and pyramid serialization.
 A coefficient vector on the level-3n approximation space splits into a
 coarse scaling vector (length n) and a detail vector (length 2n) through an
 orthogonal 3n x 3n map, so reconstruction is exact and energy is preserved.
-Both directions run in O(n log n): the coefficients go to plain Chebyshev
-form and back through the band maps and coefficient transforms of
-:mod:`vpwave.bases`.
+Both directions run in O(n log n).  The DCT of the fine coefficients gives
+their coordinates over the orthonormal modified Chebyshev basis of level
+3n; the m-1 Givens rotations of :func:`vpwave.filters.rotate` turn those
+into the coordinates over V_n (degrees below n) and W_n (degrees n..3n-1),
+which the inverse DCT and detail_synthesis take to the two node bases.
 """
 
 import json
@@ -15,18 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (
-    DetailCoeffs,
-    ScalingCoeffs,
-    approx_gather,
-    detail_gather,
-    detail_synthesis,
-    detail_to_cheb,
-    detail_unscale,
-    scaling_synthesis,
-    scaling_to_cheb,
-)
-from .filters import VPLevel
+from .bases import DetailCoeffs, ScalingCoeffs, detail_analysis, detail_synthesis
+from .chebyshev import dct, idct
+from .filters import VPLevel, rotate
 from .operators import discrete_proj
 
 
@@ -44,21 +37,16 @@ def decompose_step(fine: ScalingCoeffs) -> tuple[ScalingCoeffs, DetailCoeffs]:
     if m >= n:
         raise ValueError(f"m={m} too large to split down to n={n}")
     level = VPLevel(n, m)
-    c = scaling_to_cheb(fine)
-    a = scaling_synthesis(approx_gather(c, level), level)
-    b = detail_synthesis(detail_unscale(detail_gather(c, level), level), level)
-    return ScalingCoeffs(level, a), DetailCoeffs(level, b)
+    x = rotate(dct(fine.a), level)
+    return ScalingCoeffs(level, idct(x[:n])), DetailCoeffs(level, detail_synthesis(x[n:], level))
 
 
 def reconstruct_step(a: ScalingCoeffs, b: DetailCoeffs) -> ScalingCoeffs:
     """Exact inverse of decompose_step."""
     if a.level != b.level:
         raise ValueError(f"level mismatch: scaling {a.level} vs detail {b.level}")
-    level3 = VPLevel(3 * a.level.n, a.level.m)
-    coarse = scaling_to_cheb(a)
-    c = detail_to_cheb(b)
-    c[:coarse.size] += coarse
-    return ScalingCoeffs(level3, scaling_synthesis(approx_gather(c, level3), level3))
+    x = np.concatenate([dct(a.a), detail_analysis(b.b, b.level)])
+    return ScalingCoeffs(VPLevel(3 * a.level.n, a.level.m), idct(rotate(x, a.level, inverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +168,9 @@ def _rebuild(decomp: MultiDecomposition,
              kept_details: list[np.ndarray]) -> tuple[MultiDecomposition, ThresholdReport]:
     total = sum(d.b.size for d in decomp.details)
     kept = sum(int(np.count_nonzero(nb)) for nb in kept_details)
-    energy_total = sum(float(d.b @ d.b) for d in decomp.details)
-    energy_kept = sum(float(nb @ nb) for nb in kept_details)
+    # einsum, not `@`: the cost and the rounding of a BLAS dot product depend on its threads
+    energy_total = sum(float(np.einsum("i,i", d.b, d.b)) for d in decomp.details)
+    energy_kept = sum(float(np.einsum("i,i", nb, nb)) for nb in kept_details)
     new_details = tuple(DetailCoeffs(d.level, nb)
                         for d, nb in zip(decomp.details, kept_details))
     out = MultiDecomposition(decomp.theta, decomp.base, new_details)
@@ -286,8 +275,14 @@ def _json_number(value) -> int | float:
 
 
 def _finite_values(values) -> np.ndarray:
-    """Coefficients as floats; the NaN and Infinity tokens are refused."""
-    out = np.asarray(values, dtype=float)
+    """Coefficients as floats from a JSON list of numbers; strings, booleans,
+    nested lists and the NaN and Infinity tokens are refused."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"expected a list of numbers, got {str(values)[:40]}")
+    try:
+        out = np.asarray(values, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"coefficients must be finite: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise ValueError("coefficients must be finite")
     return out

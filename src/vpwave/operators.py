@@ -23,15 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .bases import (
-    ScalingCoeffs,
-    _phi,
-    approx_gather,
-    approx_spread,
-    scaling_interp_matrix,
-    scaling_synthesis,
-    scaling_to_cheb,
-)
+from .bases import ScalingCoeffs, _phi, scaling_interp_matrix, scaling_synthesis, scaling_to_cheb
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
@@ -39,11 +31,12 @@ from .chebyshev import (
     dct,
     eval_p_table,
     eval_series,
+    idct,
     probe_grid,
     probe_values,
     sup_error,
 )
-from .filters import VPLevel, ramp
+from .filters import VPLevel, rotate
 
 
 class OperatorKind(enum.Enum):
@@ -72,14 +65,16 @@ class LebesgueReport:
 
 def proj_kernel(level: VPLevel, x: float, y: float) -> float:
     """Reproducing kernel of the projection onto V at (x, y)."""
-    return float(eval_series(_kernel_sections(level, [x])[0], y)[0])
+    return float(eval_series(_kernel_sections(level, [x])[0], y))
 
 
 def _kernel_sections(level: VPLevel, xs: np.ndarray) -> np.ndarray:
-    """len(xs) x (n+m) matrix; row j is the expansion of kernel(xs[j], .)."""
-    g = approx_gather(eval_p_table(np.arange(level.n + level.m), xs).T, level)
-    g[..., level.n - level.m + 1:] /= ramp(level.m).norms_sq
-    return approx_spread(g, level)
+    """len(xs) x (n+m) matrix; row j is the expansion of kernel(xs[j], .): the
+    p_r(xs[j]), rotated into orthonormal coordinates, cut to V (the degrees
+    below n) and rotated back."""
+    g = rotate(np.ascontiguousarray(eval_p_table(np.arange(level.n + level.m), xs).T), level)
+    g[..., level.n:] = 0.0
+    return rotate(g, level, inverse=True)
 
 
 def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> ScalingCoeffs:
@@ -98,7 +93,7 @@ def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> Scal
     g = np.sqrt(np.pi / n_quad) * dct(np.asarray(f(cheb_nodes(n_quad)), dtype=float))
     if n_quad < n + m:
         g = np.concatenate([g, [0.0], -g[n_quad - 1:2 * n_quad - n - m:-1]])
-    return ScalingCoeffs(level, scaling_synthesis(approx_gather(g, level), level))
+    return ScalingCoeffs(level, idct(rotate(g[:n + m], level)[:n]))
 
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:

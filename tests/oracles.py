@@ -55,6 +55,19 @@ def probe_table(degrees, grid_size: int) -> np.ndarray:
     return scale * np.cos(reduced * (np.pi / grid_size))
 
 
+def gauss_cheb_quad(f, n: int) -> float:
+    """Gauss-Chebyshev rule (pi/n) sum f(x_k); exact on P_{2n-1} against w.
+    ``f`` may take the node array or one node at a time."""
+    xs = cheb_zeros(n)
+    try:
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise TypeError
+    except TypeError:
+        vals = np.array([f(x) for x in xs], dtype=float)
+    return float(np.pi / n * vals.sum())
+
+
 def dct_matrix(n: int) -> np.ndarray:
     """D with dct(v) = D @ v and idct(v) = D.T @ v."""
     return math.sqrt(math.pi / n) * cheb_table(np.arange(n), n)

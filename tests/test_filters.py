@@ -11,13 +11,12 @@ from vpwave.bases import (
     detail_analysis,
     detail_gather,
     detail_spread,
-    detail_unscale,
     scaling_analysis,
     scaling_synthesis,
     wavelet_interp,
 )
 from vpwave.chebyshev import cheb_nodes, eval_p, y_nodes
-from vpwave.filters import VPLevel, ramp
+from vpwave.filters import VPLevel, ramp, scale_norms
 
 L136 = VPLevel(13, 6)
 
@@ -114,7 +113,12 @@ def test_detail_tail_matches_refined_scaling_norms():
 
 @pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), L136, VPLevel(40, 39)])
 def test_detail_unscale_divides_by_the_oracle_norms(level):
-    got = detail_unscale(np.ones((2, 2 * level.n)), level)
+    # W's degrees n..3n-1 have the norms of the level-n entry pairs and the level-3n top pairs
+    n, m = level.n, level.m
+    x = np.ones((2, 3 * n + m))
+    for pairs in (level, VPLevel(3 * n, m)):
+        scale_norms(x, pairs, inverse=True)
+    got = x[..., n:3 * n]
     assert_allclose(got, np.broadcast_to(1 / np.sqrt(detail_norms_sq(level)), got.shape),
                     rtol=0, atol=1e-15)
 

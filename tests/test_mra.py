@@ -368,6 +368,11 @@ _BAD_PYRAMIDS = [
     '{"theta": 0.5, "n0": 1' + '0' * 400 + ', "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
     '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
     '"details": [{"n": 5, "m": 7, "b": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}',
+    # strings, booleans and an integer too large for a float among the coefficients
+    '{"theta": 0.5, "n0": 5, "L": 0, "base": [1' + '0' * 400 + ', 0, 0, 0, 0], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": 0, "base": ["1", "2", "0", true, "4e0"], "details": []}',
+    '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
+    '"details": [{"n": 5, "m": 2, "b": [0, 0, 0, 0, 0, 0, 0, 0, 0, false]}]}',
 ]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import fourier_proj as dense_fourier_proj
-from oracles import approx_norms_sq, lambda_mp
+from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp
 from util import max_dev, scaling_ortho_matrix
 
 from vpwave.bases import (
@@ -18,7 +18,6 @@ from vpwave.chebyshev import (
     eval_p,
     eval_p_table,
     eval_series,
-    gauss_cheb_quad,
     probe_grid,
     sup_error,
 )

@@ -1,5 +1,6 @@
-"""Property tests of the one-step split and merge over random levels (n, m),
-and of the pyramid level chain against its JSON round trip."""
+"""Property tests of the ramp rotation and the one-step split and merge over
+random levels (n, m), and of the pyramid level chain against its JSON round
+trip."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from oracles import analysis_matrices
 from util import max_dev
 
 from vpwave.bases import DetailCoeffs, ScalingCoeffs
-from vpwave.filters import VPLevel
+from vpwave.filters import VPLevel, rotate
 from vpwave.mra import (
     MultiDecomposition,
     PyramidError,
@@ -47,6 +48,23 @@ def test_split_merge_round_trip_energy_and_dense_agreement(level, seed):
     assert max_dev(a.a, a_mat @ x) < 1e-11
     assert max_dev(b.b, b_mat @ x) < 1e-11
     assert max_dev(rec.a, a_mat.T @ a.a + b_mat.T @ b.b) < 1e-11
+
+
+# stacked inputs, with degrees beyond the n+m that the pairs need
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(level=levels(), stack=st.lists(st.integers(1, 3), max_size=2),
+       extra=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+@example(level=VPLevel(2, 1), stack=[2], extra=0, seed=0)
+@example(level=VPLevel(60, 59), stack=[3, 2], extra=5, seed=1)
+def test_rotation_is_orthogonal_and_moves_only_the_pairs(level, stack, extra, seed):
+    n, m = level.n, level.m
+    x = np.random.default_rng(seed).standard_normal(tuple(stack) + (n + m + extra,))
+    y = rotate(x.copy(), level)
+    others = np.setdiff1d(np.arange(x.shape[-1]), np.r_[n - m + 1:n, n + 1:n + m])
+    assert np.array_equal(y[..., others], x[..., others])
+    energy = (x * x).sum(axis=-1)
+    assert np.all(np.abs((y * y).sum(axis=-1) - energy) <= 1e-14 * energy)
+    assert max_dev(rotate(y, level, inverse=True), x) <= 1e-15 * np.abs(x).max()
 
 
 # every level gets the shared m = floor(theta * n0) (or 1 where theta gives
