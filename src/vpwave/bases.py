@@ -15,9 +15,9 @@ orthonormal bases, V and W differ from the plain p_r only on the degree pairs
 turns.  So the Chebyshev expansion of orthonormal coefficients is their DCT
 (detail_analysis for W), padded and rotated back.  The band maps A
 (approx_spread: q_r to plain Chebyshev coefficients) and B (detail_spread:
-q~_r to plain) and their transposes approx_gather and detail_gather add
-filters.scale_norms for the norms of the unnormalized q_r and q~_r, which
-also scale the coefficient transforms (node-indexed <-> degree-indexed).
+q~_r to plain) and the transpose approx_gather of A add filters.scale_norms
+for the norms of the unnormalized q_r and q~_r, which also scale the
+coefficient transforms (node-indexed <-> degree-indexed).
 Every basis element is exported as its array of p-coefficients, and a basis
 matrix is the matching map applied to an identity.
 """
@@ -119,18 +119,6 @@ def detail_spread(s, level: VPLevel) -> np.ndarray:
     for pairs in (level, VPLevel(3 * n, level.m)):  # entry and top pairs, disjoint
         rotate(scale_norms(c, pairs), pairs, inverse=True)
     return c
-
-
-def detail_gather(c, level: VPLevel) -> np.ndarray:
-    """B^T: p-coefficients to the inner products with q~_n..q~_{3n-1}.
-
-    Only degrees below 3n+m are read; anything beyond is orthogonal to W.
-    """
-    n = level.n
-    x = _head(c, 3 * n + level.m)
-    for pairs in (level, VPLevel(3 * n, level.m)):
-        scale_norms(rotate(x, pairs), pairs)
-    return x[..., n:3 * n]
 
 
 # ---------------------------------------------------------------------------

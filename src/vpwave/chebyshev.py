@@ -97,7 +97,9 @@ def eval_series(coeffs, x):
     step = max(1, (1 << 20) // (x.size or 1))
     for start in range(0, c.shape[-1], step):
         block = c[..., start:start + step]
-        out += block @ eval_p_table(np.arange(start, start + block.shape[-1]), x)
+        table = eval_p_table(np.arange(start, start + block.shape[-1]), x)
+        # einsum, not `@`: the rounding of a BLAS product depends on its threads
+        out += np.einsum("...r,rx->...x", block, table)
     out = out.reshape(c.shape[:-1] + x.shape)
     return float(out) if out.ndim == 0 else out
 

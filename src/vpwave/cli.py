@@ -25,7 +25,7 @@ from .mra import (
     reconstruct_multi,
     redecompose,
 )
-from .operators import LebesgueKind, OperatorKind, error_curve, lebesgue_const
+from .operators import LebesgueKind, OperatorKind, _sweep_levels, error_curve, lebesgue_const
 
 _BASIS_BUILDERS = {
     "phi": bases.scaling_interp,
@@ -41,17 +41,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str) -> range:
     """Either a single integer or an inclusive range start:step:stop."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad range {text!r}, expected start:step:stop")
-        start, step, stop = (int(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad range {text!r}")
-        return list(range(start, stop + 1, step))
-    return [int(text)]
+    if ":" not in text:
+        start = int(text)
+        return range(start, start + 1)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"bad range {text!r}, expected start:step:stop")
+    start, step, stop = (int(p) for p in parts)
+    if step <= 0 or stop < start:
+        raise ValueError(f"bad range {text!r}")
+    return range(start, stop + 1, step)
 
 
 def _parse_theta_list(text: str) -> list[float]:
@@ -93,6 +94,8 @@ def cmd_error(args) -> int:
     for theta in thetas:
         for point in error_curve(f, kind, theta, n_list, grid_size=args.grid):
             lines.append(f"{_fmt(theta)},{point.n},{point.m},{_fmt(point.error)}")
+    if len(lines) == 1:
+        raise ValueError("every level of the sweep is degenerate")
     meta = {
         "function": args.f,
         "operator": kind.value,
@@ -111,12 +114,13 @@ def cmd_lebesgue(args) -> int:
     lines = ["theta,n,m,value"]
     meta_rows = []
     for theta in thetas:
-        for n in n_list:
-            level = VPLevel.from_theta(n, theta)
+        for level in _sweep_levels(theta, n_list):
             report = lebesgue_const(level, kind, grid_size=args.grid)
-            lines.append(f"{_fmt(theta)},{n},{level.m},{_fmt(report.value)}")
-            meta_rows.append({"theta": theta, "n": n, "m": level.m,
+            lines.append(f"{_fmt(theta)},{level.n},{level.m},{_fmt(report.value)}")
+            meta_rows.append({"theta": theta, "n": level.n, "m": level.m,
                               "quad_spec": report.quad_spec})
+    if len(lines) == 1:
+        raise ValueError("every level of the sweep is degenerate")
     meta = {
         "kind": kind.value,
         "grid_size": args.grid,
@@ -245,7 +249,7 @@ def main(argv=None) -> int:
     except PyramidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

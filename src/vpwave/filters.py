@@ -40,7 +40,10 @@ class VPLevel:
         """Level (n, floor(theta * n)) for theta in (0, 1)."""
         if not 0.0 < theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {theta}")
-        return cls(n, math.floor(theta * n))
+        try:
+            return cls(n, math.floor(theta * n))
+        except OverflowError as exc:  # an integer n beyond the float range
+            raise ValueError(f"resolution n is too large for theta * n: {exc}") from exc
 
 
 class Ramp(NamedTuple):

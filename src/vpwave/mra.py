@@ -97,14 +97,10 @@ class MultiDecomposition:
 
 def pyramid_m(n0: int, theta: float) -> int:
     """The shared ramp parameter m = floor(theta * n0) of a pyramid based at n0."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    m = VPLevel.from_theta(n0, theta).m
     if n0 * (1.0 - theta) <= 1.0:
         raise ValueError(f"base resolution n0={n0} too small for theta={theta} "
                          f"(need n0 > 1/(1-theta))")
-    m = math.floor(theta * n0)
-    if m < 1:
-        raise ValueError(f"theta={theta} gives m=0 at base resolution {n0}")
     return m
 
 
@@ -114,13 +110,10 @@ def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecompo
     if levels < 0:
         raise ValueError(f"level count must be nonnegative, got {levels}")
     m = pyramid_m(n0, theta)
-    n_top = n0 * 3 ** levels
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (n_top,):
-        raise ValueError(f"expected {n_top} samples, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    return _split_down(discrete_proj(samples, VPLevel(n_top, m)), levels, theta)
+    return _split_down(discrete_proj(samples, VPLevel(n0 * 3 ** levels, m)), levels, theta)
 
 
 def reconstruct_multi(decomp: MultiDecomposition) -> ScalingCoeffs:
@@ -194,9 +187,14 @@ def threshold_keep_top(decomp: MultiDecomposition,
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     flat = np.concatenate([d.b for d in decomp.details]) if decomp.details else np.empty(0)
     keep_count = math.ceil(fraction * flat.size)
-    order = np.argsort(-np.abs(flat), kind="stable")
     mask = np.zeros(flat.size, dtype=bool)
-    mask[order[:keep_count]] = True
+    if keep_count:
+        # the set a stable descending sort would keep, in O(N): everything
+        # above the keep_count-th largest magnitude, then the first of its ties
+        mag = np.abs(flat)
+        cut = np.partition(mag, flat.size - keep_count)[flat.size - keep_count]
+        mask = mag > cut
+        mask[np.flatnonzero(mag == cut)[:keep_count - np.count_nonzero(mask)]] = True
     blocks = np.split(mask, np.cumsum([d.b.size for d in decomp.details])[:-1])
     return _rebuild(decomp, [np.where(block, d.b, 0.0)
                              for block, d in zip(blocks, decomp.details)])
@@ -225,39 +223,17 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
     """Parse a pyramid document, validating types, finiteness and the level chain."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PyramidError(f"malformed pyramid JSON: {exc}") from exc
-    try:
         theta = _json_number(doc["theta"])
-        n0 = _json_int(doc["n0"])
-        levels = _json_int(doc["L"])
-        base_vals = _finite_values(doc["base"])
-        raw_details = doc["details"]
-        if not isinstance(raw_details, list):
-            raise TypeError(f"details must be a list, got {raw_details!r}")
+        base = ScalingCoeffs(VPLevel.from_theta(_json_int(doc["n0"]), theta),
+                             _finite_values(doc["base"]))
+        entries = doc["details"]
+        if not isinstance(entries, list) or len(entries) != _json_int(doc["L"]):
+            raise ValueError(f"details must be a list of L={doc['L']!r} entries")
+        details = [DetailCoeffs(VPLevel(_json_int(e["n"]), _json_int(e["m"])),
+                                _finite_values(e["b"])) for e in entries]
+        return MultiDecomposition(theta, base, tuple(details))
     except (KeyError, TypeError, ValueError) as exc:
-        raise PyramidError(f"pyramid document missing or mistyped fields: {exc}") from exc
-    if len(raw_details) != levels:
-        raise PyramidError(f"pyramid lists {len(raw_details)} details but L={levels}")
-    if base_vals.shape != (n0,):
-        raise PyramidError(f"base has {base_vals.size} coefficients, expected {n0}")
-    try:
-        m = pyramid_m(n0, theta)
-    except ValueError as exc:
-        raise PyramidError(str(exc)) from exc
-    base = ScalingCoeffs(VPLevel(n0, m), base_vals)
-    details = []
-    for entry in raw_details:
-        try:
-            level = VPLevel(_json_int(entry["n"]), _json_int(entry["m"]))
-            vals = _finite_values(entry["b"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PyramidError(f"bad detail entry: {exc}") from exc
-        if vals.shape != (2 * level.n,):
-            raise PyramidError(f"detail at n={level.n} has {vals.size} coefficients, "
-                               f"expected {2 * level.n}")
-        details.append(DetailCoeffs(level, vals))
-    return MultiDecomposition(theta, base, tuple(details))
+        raise PyramidError(f"bad pyramid document: {exc}") from exc
 
 
 def _json_int(value) -> int:

@@ -19,11 +19,11 @@ sweeps over resolution levels.
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .bases import ScalingCoeffs, _phi, scaling_interp_matrix, scaling_synthesis, scaling_to_cheb
+from .bases import ScalingCoeffs, _phi, _phi_ortho, scaling_interp_matrix, scaling_to_cheb
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
@@ -77,6 +77,20 @@ def _kernel_sections(level: VPLevel, xs: np.ndarray) -> np.ndarray:
     return rotate(g, level, inverse=True)
 
 
+def _project(values: np.ndarray, level: VPLevel) -> np.ndarray:
+    """Orthonormal scaling coefficients, along the last axis, of the projection
+    whose inner products g_r = (pi/N) sum_k f(x_k) p_r(x_k) come from the values
+    at the N-point Chebyshev nodes, N >= n."""
+    n, m, size = level.n, level.m, values.shape[-1]
+    g = np.sqrt(np.pi / size) * dct(values)
+    if size < n + m:
+        # on the N-point grid p_N vanishes and p_r = -p_{2N-r}, which supplies
+        # the degrees N < r < n+m
+        g = np.concatenate([g, np.zeros(g.shape[:-1] + (1,)),
+                            -g[..., size - 1:2 * size - n - m:-1]], axis=-1)
+    return idct(rotate(g[..., :n + m], level)[..., :n])
+
+
 def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> ScalingCoeffs:
     """Orthogonal projection of f onto V with quadrature-approximated coefficients.
 
@@ -88,20 +102,16 @@ def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> Scal
         n_quad = 16 * (n + m)
     if n_quad < n:
         raise ValueError(f"quadrature size {n_quad} underresolves the projection (n={n})")
-    # g_r = (pi/N) sum_k f(x_k) p_r(x_k); on the N-point grid p_N vanishes and
-    # p_r = -p_{2N-r}, which supplies the degrees N < r < n+m when N is small
-    g = np.sqrt(np.pi / n_quad) * dct(np.asarray(f(cheb_nodes(n_quad)), dtype=float))
-    if n_quad < n + m:
-        g = np.concatenate([g, [0.0], -g[n_quad - 1:2 * n_quad - n - m:-1]])
-    return ScalingCoeffs(level, idct(rotate(g[:n + m], level)[:n]))
+    return ScalingCoeffs(level, _project(np.asarray(f(cheb_nodes(n_quad)), dtype=float), level))
 
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
-    """Discrete projection built from samples on the level-n Chebyshev grid."""
+    """Discrete projection built from samples on the level-n Chebyshev grid:
+    fourier_proj with the n-point Gauss-Chebyshev rule."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (level.n,):
         raise ValueError(f"expected {level.n} samples, got {samples.shape}")
-    return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * scaling_synthesis(dct(samples), level))
+    return ScalingCoeffs(level, _project(samples, level))
 
 
 def vp_interp(samples, level: VPLevel) -> np.ndarray:
@@ -177,7 +187,8 @@ def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndar
 def _lebesgue_rows(level: VPLevel, kind: LebesgueKind) -> tuple[np.ndarray, str]:
     """Rows whose |values| sum to lambda-tilde or lambda-bar, and how to describe it."""
     if kind is LebesgueKind.LAMBDA_TILDE:
-        rows = (np.pi / level.n) * _kernel_sections(level, cheb_nodes(level.n))
+        # row i: the discrete projection of the i-th node's delta, (pi/n) kernel(x_i, .)
+        rows = _phi_ortho(_project(np.eye(level.n), level), level)
         return rows, f"exact node sum over {level.n} kernel sections"
     spec = f"exact sum of {level.n} interpolating scaling functions"
     return scaling_interp_matrix(level).T, spec
@@ -244,21 +255,28 @@ def approximant(f: Callable, level: VPLevel, kind: OperatorKind) -> np.ndarray:
     return scaling_to_cheb(fourier_proj(f, level))
 
 
+def _sweep_levels(theta: float, n_list: Iterable[int]) -> Iterator[VPLevel]:
+    """VPLevel.from_theta(n, theta) for each n of a sweep, skipping degenerate
+    levels with a warning; a theta outside (0, 1) raises on the first step."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    for n in n_list:
+        try:
+            level = VPLevel.from_theta(n, theta)
+        except ValueError as exc:
+            warnings.warn(f"skipping n={n}: {exc}")
+            continue
+        yield level
+
+
 def error_curve(f: Callable, kind: OperatorKind, theta: float,
                 n_list: Iterable[int], grid_size: int = 10000) -> list[ErrorPoint]:
     """Sup-norm error of the chosen approximant over resolutions n with
     m = floor(theta n); degenerate pairs are skipped with a warning."""
     kind = OperatorKind(kind)
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
     out = []
-    for n in n_list:
-        m = int(np.floor(theta * n))
-        if m < 1 or m >= n:
-            warnings.warn(f"skipping n={n}: m={m} is degenerate for theta={theta}")
-            continue
-        level = VPLevel(n, m)
+    for level in _sweep_levels(theta, n_list):
         approx = approximant(f, level, kind)
         err = sup_error(f, lambda xs: probe_values(approx, grid_size), grid_size)
-        out.append(ErrorPoint(n, m, err))
+        out.append(ErrorPoint(level.n, level.m, err))
     return out

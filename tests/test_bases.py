@@ -17,7 +17,6 @@ from vpwave.bases import (
     approx_gather,
     approx_spread,
     detail_basis,
-    detail_gather,
     detail_spread,
     detail_to_cheb,
     ortho_to_values,
@@ -100,7 +99,6 @@ def test_band_maps_match_dense_scatter(level):
     assert max_dev(approx_spread(t, level), t @ a.T) < 1e-14
     assert max_dev(detail_spread(s, level), s @ b.T) < 1e-14
     assert max_dev(approx_gather(c, level), c[:, :n + m] @ a) < 1e-14
-    assert max_dev(detail_gather(c, level), c @ b) < 1e-14
 
 
 def test_basis_index_validation():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import dct_matrix, gauss_cheb_quad, probe_table, series_mp
+
+import vpwave
 
 from vpwave.chebyshev import (
     cheb_nodes,
@@ -212,6 +217,30 @@ def test_probe_values_match_exact_angles(grid_size, degrees):
 def test_probe_values_reject_empty_grid():
     with pytest.raises(ValueError):
         probe_values(np.ones(3), 0)
+
+
+_SERIES_DIGEST = """
+import hashlib
+import numpy as np
+from vpwave.chebyshev import eval_series
+rng = np.random.default_rng(7)
+c, x = rng.standard_normal((2, 2000)), np.cos(rng.uniform(0, np.pi, 500))
+print(hashlib.sha1(eval_series(c[0], x).tobytes() + eval_series(c, x).tobytes()).hexdigest())
+"""
+
+
+def test_eval_series_bits_do_not_depend_on_blas_threads():
+    # 2000 degrees at 500 points, 1-d and stacked coefficients, in two fresh
+    # processes whose BLAS runs one and two threads
+    src = os.path.dirname(os.path.dirname(vpwave.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _SERIES_DIGEST], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_expansion_domain_error():

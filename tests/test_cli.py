@@ -1,10 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpwave.chebyshev import cheb_nodes
-from vpwave.cli import main
+from vpwave.cli import _parse_int_list, _parse_theta_list, build_parser, main
 from vpwave.functions import get_function
 
 
@@ -52,6 +57,24 @@ def test_error_command_invalid_theta(tmp_path):
                  "--n", "10", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["error", "lebesgue"])
+def test_sweep_skips_degenerate_levels_and_exits_2_when_none_is_left(tmp_path, capsys, command):
+    # theta = 0.05 gives m = 0 at n = 10 and m = 1 at n = 20
+    args = {"error": ["--f", "sin", "--op", "vp"], "lebesgue": ["--kind", "lambda-bar"]}[command]
+    out = tmp_path / "e.csv"
+    with pytest.warns(UserWarning, match="skipping n=10"):
+        code = main([command, *args, "--theta", "0.05", "--n", "10", "--grid", "1000",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.warns(UserWarning, match="skipping n=10"):
+        code = main([command, *args, "--theta", "0.05", "--n", "10:10:20", "--grid", "1000",
+                     "--out", str(out)])
+    assert code == 0
+    assert [line.split(",")[1:3] for line in out.read_text().splitlines()[1:]] == [["20", "1"]]
 
 
 def test_error_command_determinism(tmp_path):
@@ -151,6 +174,16 @@ def test_decompose_malformed_samples(tmp_path):
                      "--levels", "0", "--theta", "0.5", "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert not (tmp_path / "x.json").exists()
+
+
+def test_decompose_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 64 * 3^30 samples: the first array cannot be allocated at all (93 PiB)
+    out = tmp_path / "x.json"
+    code = main(["decompose", "--f", "sin", "--n0", "64", "--levels", "30", "--theta", "0.5",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_decompose_wrong_sample_count(tmp_path):
@@ -311,3 +344,41 @@ def test_failed_sidecar_leaves_no_half_artifact(tmp_path, capsys, command):
     out.mkdir()
     assert main([command, *args, "--out", str(out)]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv"]
+
+
+_NUMERIC = st.text(alphabet="0123456789:,.+-_e ", max_size=16)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(st.text(max_size=16), _NUMERIC))
+def test_list_parsers_return_or_raise_value_error(text):
+    # only parsed, never run: a fuzzed range may be astronomically long
+    try:
+        assert _parse_int_list(text)
+    except ValueError:
+        pass
+    try:
+        assert all(0.0 < t < 1.0 for t in _parse_theta_list(text))
+    except ValueError:
+        pass
+
+
+_TOKENS = st.sampled_from([
+    "error", "lebesgue", "decompose", "reconstruct", "basis", "--f", "--op", "--theta",
+    "--n", "--grid", "--out", "--kind", "--samples", "--n0", "--levels", "--pyramid",
+    "--family", "--m", "--k", "--r", "--help", "-h", "--version", "--", "sin", "vp",
+    "lambda", "phi", "q", "0.5", "10", "-1", "1e400", "x.csv", "--n=3", "--theta=",
+])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=st.lists(st.one_of(_TOKENS, st.text(max_size=8)), max_size=12))
+def test_parser_gives_a_namespace_or_exits_0_or_2(argv):
+    # the arguments are parsed and never run
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2)
+        else:
+            assert isinstance(args, argparse.Namespace)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import approx_norms_sq, detail_norms_sq
+from oracles import approx_norms_sq, detail_norms_sq, detail_scatter
 
 from vpwave.bases import (
     approx_gather,
     approx_spread,
     detail_analysis,
-    detail_gather,
     detail_spread,
     scaling_analysis,
     scaling_synthesis,
@@ -70,7 +69,6 @@ def test_band_maps_copy_off_the_ramp():
     assert np.array_equal(approx_gather(c, L136)[:n - m + 1], c[:n - m + 1])
     assert approx_spread(t, L136)[n] == 0.0
     assert detail_spread(s, L136)[n] == s[0]
-    assert detail_gather(c, L136)[0] == c[n]
     assert np.array_equal(detail_spread(np.eye(26)[0], L136), np.eye(3 * n + m)[n])
 
 
@@ -180,7 +178,7 @@ def test_wavelet_interp_weight_branches():
     y = y_nodes(n)
     for k in (1, 9, 26):
         psi = wavelet_interp(L136, k)
-        w = 3 * n / math.pi * detail_gather(psi, L136) / detail_norms_sq(L136)
+        w = 3 * n / math.pi * (psi @ detail_scatter(L136)) / detail_norms_sq(L136)
         assert w[0] == pytest.approx(eval_p(n, y[k - 1]), abs=1e-13)
         expected = eval_p(2 * n, y[k - 1]) + math.sqrt(2) / math.sqrt(math.pi)
         assert w[n] == pytest.approx(expected, abs=1e-13)

@@ -373,6 +373,9 @@ _BAD_PYRAMIDS = [
     '{"theta": 0.5, "n0": 5, "L": 0, "base": ["1", "2", "0", true, "4e0"], "details": []}',
     '{"theta": 0.5, "n0": 5, "L": 1, "base": [0, 0, 0, 0, 0], '
     '"details": [{"n": 5, "m": 2, "b": [0, 0, 0, 0, 0, 0, 0, 0, 0, false]}]}',
+    # details that are not a list, an integer past the parser's digit limit
+    '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": {}}',
+    '{"theta": 0.5, "n0": 1' + '0' * 5000 + ', "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
 ]
 
 

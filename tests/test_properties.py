@@ -1,6 +1,8 @@
 """Property tests of the ramp rotation and the one-step split and merge over
-random levels (n, m), and of the pyramid level chain against its JSON round
-trip."""
+random levels (n, m), of the pyramid level chain against its JSON round
+trip, and of the keep-top selection against a stable sort."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from vpwave.filters import VPLevel, rotate
 from vpwave.mra import (
     MultiDecomposition,
     PyramidError,
+    _rebuild,
     decompose_step,
     pyramid_from_json,
     pyramid_m,
     pyramid_to_json,
     reconstruct_step,
+    threshold_keep_top,
 )
 
 
@@ -99,3 +103,27 @@ def test_pyramid_accepted_iff_chain_holds_and_survives_json(n0, theta, levels, b
     for d, e in zip(details, back.details, strict=True):
         assert e.level == d.level and np.array_equal(e.b, d.b)
     assert pyramid_to_json(back) == text
+
+
+# integer-valued details (signed zeros included) tie often; the kept set must
+# be the stable descending sort's first ceil(fraction N), ties by position
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pool=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0]),
+                     min_size=130, max_size=130),
+       levels=st.integers(0, 3), fraction=st.floats(0.0, 1.0, exclude_min=True))
+@example(pool=[1.0] * 130, levels=3, fraction=1.0)
+@example(pool=[1.0] * 130, levels=0, fraction=0.5)
+def test_keep_top_matches_the_stable_sort(pool, levels, fraction):
+    ends = np.cumsum([0] + [10 * 3 ** i for i in range(levels)])
+    flat = np.array(pool[:ends[-1]])
+    decomp = MultiDecomposition(0.5, ScalingCoeffs(VPLevel(5, 2), np.ones(5)),
+                                [DetailCoeffs(VPLevel(5 * 3 ** i, 2), flat[ends[i]:ends[i + 1]])
+                                 for i in range(levels)])
+    keep = np.zeros(flat.size, dtype=bool)
+    keep[np.argsort(-np.abs(flat), kind="stable")[:math.ceil(fraction * flat.size)]] = True
+    kept = np.where(keep, flat, 0.0)
+    expected = _rebuild(decomp, [kept[ends[i]:ends[i + 1]] for i in range(levels)])
+    pruned, report = threshold_keep_top(decomp, fraction)
+    assert report == expected[1]
+    for d, e in zip(pruned.details, expected[0].details, strict=True):
+        assert d.b.tobytes() == e.b.tobytes()
