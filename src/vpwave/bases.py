@@ -12,12 +12,13 @@ Everything here composes the cosine transforms with maps written once, each
 acting on the last axis of its input.  The ramp is m-1 Givens pairs: over
 orthonormal bases, V and W differ from the plain p_r only on the degree pairs
 (n-j, n+j), and W also on the top pairs of level 3n, which filters.rotate
-turns.  So the Chebyshev expansion of orthonormal coefficients is their DCT
-(detail_analysis for W), padded and rotated back.  The band maps A
-(approx_spread: q_r to plain Chebyshev coefficients) and B (detail_spread:
-q~_r to plain) and the transpose approx_gather of A add filters.scale_norms
-for the norms of the unnormalized q_r and q~_r, which also scale the
-coefficient transforms (node-indexed <-> degree-indexed).
+turns.  So V is reached through one coordinate map, _to_v (p-coefficients to
+the coordinates over the orthonormal q_r/nu_r) with its transpose _from_v,
+and W through one expansion, _from_w, of its coordinates at degrees n..3n-1.
+The Chebyshev expansion of orthonormal coefficients is _from_v of their DCT
+(_from_w of detail_analysis for W).  Only the unnormalized q_r and q~_r and
+interpolation add filters.scale_norms for the norms nu_j, which also scale
+the coefficient transforms (node-indexed <-> degree-indexed).
 Every basis element is exported as its array of p-coefficients, and a basis
 matrix is the matching map applied to an identity.
 """
@@ -79,45 +80,30 @@ def _pad(x, first: int, size: int) -> np.ndarray:
     return c
 
 
-def _head(c, size: int) -> np.ndarray:
-    """A copy of the first ``size`` entries of the last axis."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 0 or c.shape[-1] < size:
-        raise ValueError(f"expected at least {size} coefficients, got shape {c.shape}")
-    return c[..., :size].copy()
+def _to_v(c, level: VPLevel) -> np.ndarray:
+    """p-coefficients to the coordinates over the orthonormal q_r/nu_r of V,
+    r < n: the ramp pairs rotated, the degrees below n kept.  Only degrees
+    below n+m are read; anything beyond is orthogonal to V."""
+    return rotate(c[..., :level.n + level.m].copy(), level)[..., :level.n]
 
 
-def approx_spread(t, level: VPLevel) -> np.ndarray:
-    """A: coefficients over q_0..q_{n-1} to p-coefficients of degrees 0..n+m-1.
-
-    q_r is p_r for r <= n-m and mu_r p_r - mu_{2n-r} p_{2n-r} on the ramp
-    n-m < r < n, so the ramp is mirrored across degree n (which stays empty).
-    """
-    c = scale_norms(_pad(_as_length(t, level.n), 0, level.n + level.m), level)
-    return rotate(c, level, inverse=True)
+def _from_v(x, level: VPLevel) -> np.ndarray:
+    """Transpose of _to_v: coordinates over the orthonormal q_r/nu_r to
+    p-coefficients of degrees 0..n+m-1.  Over the q_r themselves, multiply x
+    by their norms first (scale_norms)."""
+    return rotate(_pad(x, 0, level.n + level.m), level, inverse=True)
 
 
-def approx_gather(c, level: VPLevel) -> np.ndarray:
-    """A^T: p-coefficients to the inner products with q_0..q_{n-1}.
-
-    Only degrees below n+m are read; anything beyond is orthogonal to V.
-    """
-    x = rotate(_head(c, level.n + level.m), level)
-    return scale_norms(x, level)[..., :level.n]
-
-
-def detail_spread(s, level: VPLevel) -> np.ndarray:
-    """B: coefficients over q~_n..q~_{3n-1} to p-coefficients of degrees 0..3n+m-1.
-
-    q~_r is mu_{2n-r} p_r + mu_r p_{2n-r} on the entry band n <= r < n+m
-    (the complement of the level-n ramp), and above it the level-(3n, m)
-    modified polynomial q_r, which is why degrees up to 3n+m-1 occur.  Since
-    mu_n = 1/2, q~_n is p_n.
-    """
+def _from_w(s, level: VPLevel, norms: bool = False) -> np.ndarray:
+    """W coordinates over degrees n..3n-1 to p-coefficients of degrees
+    0..3n+m-1 (W's top band is the level-(3n, m) ramp): the entry pairs at
+    (n, m) and the top pairs at (3n, m) turned back.  The coordinates are
+    over the orthonormal q~_r/||q~_r||, or over the q~_r themselves if
+    ``norms``."""
     n = level.n
-    c = _pad(_as_length(s, 2 * n), n, 3 * n + level.m)
+    c = _pad(s, n, 3 * n + level.m)
     for pairs in (level, VPLevel(3 * n, level.m)):  # entry and top pairs, disjoint
-        rotate(scale_norms(c, pairs), pairs, inverse=True)
+        rotate(scale_norms(c, pairs) if norms else c, pairs, inverse=True)
     return c
 
 
@@ -204,13 +190,13 @@ def detail_synthesis(s, level: VPLevel) -> np.ndarray:
 
 def _phi(u, level: VPLevel) -> np.ndarray:
     """p-coefficients of sum_k u_k phi_k, phi_k = (pi/n) sum_r mu_r p_r(x_k) q_r."""
-    return math.sqrt(math.pi / level.n) * approx_spread(dct(u), level)
+    return math.sqrt(math.pi / level.n) * _from_v(scale_norms(dct(u), level), level)
 
 
 def _phi_ortho(a, level: VPLevel) -> np.ndarray:
     """p-coefficients of sum_k a_k (orthonormal scaling function k): its DCT
     holds the coordinates over the orthonormal q_r/nu_r."""
-    return rotate(_pad(dct(a), 0, level.n + level.m), level, inverse=True)
+    return _from_v(dct(a), level)
 
 
 def _psi(u, level: VPLevel) -> np.ndarray:
@@ -222,18 +208,8 @@ def _psi(u, level: VPLevel) -> np.ndarray:
     n = level.n
     x = dct(_complement_scatter(u, n))
     w = _fold(x, n)
-    w[..., n + 1:] += approx_gather(x, level)[..., 1:]
-    return math.sqrt(math.pi / (3 * n)) * detail_spread(w, level)
-
-
-def _psi_ortho(b, level: VPLevel) -> np.ndarray:
-    """p-coefficients of sum_k b_k (orthonormal wavelet k): detail_analysis
-    gives the coordinates over the orthonormal q~_r/||q~_r||."""
-    n = level.n
-    c = _pad(detail_analysis(b, level), n, 3 * n + level.m)
-    for pairs in (level, VPLevel(3 * n, level.m)):
-        rotate(c, pairs, inverse=True)
-    return c
+    w[..., n + 1:] += scale_norms(_to_v(x, level), level)[..., 1:]
+    return math.sqrt(math.pi / (3 * n)) * _from_w(w, level, norms=True)
 
 
 def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
@@ -247,18 +223,12 @@ def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
 
 def approx_basis(level: VPLevel, r: int) -> np.ndarray:
     """Degree-r modified Chebyshev basis polynomial of V, r in [0, n-1]."""
-    return approx_spread(_unit(r, 0, level.n, "degree"), level)
+    return _from_v(scale_norms(_unit(r, 0, level.n, "degree"), level), level)
 
 
 def detail_basis(level: VPLevel, r: int) -> np.ndarray:
     """Degree-r modified Chebyshev basis polynomial of W, r in [n, 3n-1]."""
-    return detail_spread(_unit(r, level.n, 2 * level.n, "degree"), level)
-
-
-def scaling_interp_matrix(level: VPLevel) -> np.ndarray:
-    """(n+m) x n matrix; column k-1 is the expansion of the k-th interpolating
-    scaling function (pi/n) sum_r mu_r p_r(x_k) p_r."""
-    return _phi(np.eye(level.n), level).T
+    return _from_w(_unit(r, level.n, 2 * level.n, "degree"), level, norms=True)
 
 
 def scaling_interp(level: VPLevel, k: int) -> np.ndarray:
@@ -278,7 +248,7 @@ def wavelet_interp(level: VPLevel, k: int) -> np.ndarray:
 
 def wavelet_ortho(level: VPLevel, k: int) -> np.ndarray:
     """k-th orthonormal wavelet."""
-    return _psi_ortho(_unit(k, 1, 2 * level.n, "wavelet index"), level)
+    return detail_to_cheb(DetailCoeffs(level, _unit(k, 1, 2 * level.n, "wavelet index")))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +261,9 @@ def scaling_to_cheb(c: ScalingCoeffs) -> np.ndarray:
 
 
 def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
-    """p-coefficients of sum_k b_k (orthonormal wavelet k)."""
-    return _psi_ortho(d.b, d.level)
+    """p-coefficients of sum_k b_k (orthonormal wavelet k): detail_analysis
+    gives the coordinates over the orthonormal q~_r/||q~_r||."""
+    return _from_w(detail_analysis(d.b, d.level), d.level)
 
 
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:

@@ -16,6 +16,7 @@ along the last axis, so a stack of sequences is transformed at once.
 """
 
 import math
+import numbers
 
 import numpy as np
 import scipy.fft
@@ -24,10 +25,17 @@ SQRT_1_PI = 1.0 / math.sqrt(math.pi)
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 
+def _check_size(size) -> None:
+    """A grid size is a positive integer; a bool is not one."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+        raise ValueError(f"grid size must be an integer, got {size!r}")
+    if size < 1:
+        raise ValueError(f"grid size must be positive, got {size}")
+
+
 def cheb_nodes(n: int) -> np.ndarray:
     """Chebyshev zeros x_k = cos((2k-1) pi / (2n)), k = 1..n, in decreasing order."""
-    if n < 1:
-        raise ValueError(f"grid size must be positive, got {n}")
+    _check_size(n)
     k = np.arange(1, n + 1)
     # the ratio is formed before multiplying by pi so that the coarse grid
     # reproduces every third fine-grid angle bit-for-bit (x_k^n = x_{3k-1}^{3n})
@@ -37,15 +45,14 @@ def cheb_nodes(n: int) -> np.ndarray:
 def y_nodes(n: int) -> np.ndarray:
     """The 2n nodes of cheb_nodes(3n) that are not in cheb_nodes(n), interleaving
     the fine grid: y_{2k-1} = x_{3k-2} and y_{2k} = x_{3k}, for k = 1..n."""
-    if n < 1:
-        raise ValueError(f"grid size must be positive, got {n}")
+    _check_size(n)
     keep = np.arange(1, 3 * n + 1) % 3 != 2  # drop positions 3k-1 (1-based)
     return cheb_nodes(3 * n)[keep]
 
 
 def _check_domain(x):
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):  # NaN fails too
         raise ValueError("evaluation point outside [-1, 1]")
     return x
 
@@ -106,16 +113,14 @@ def eval_series(coeffs, x):
 
 def probe_grid(grid_size: int) -> np.ndarray:
     """Chebyshev-distributed probe grid cos(j pi / M), j = 0..M, endpoints included."""
-    if grid_size < 1:
-        raise ValueError(f"grid size must be positive, got {grid_size}")
+    _check_size(grid_size)
     return np.cos(np.arange(grid_size + 1) * (np.pi / grid_size))
 
 
 def probe_values(coeffs, grid_size: int) -> np.ndarray:
     """Sum_r c_r p_r on probe_grid(grid_size) along the last axis, by one DCT-I.
     On the grid p_r = p_{2M-r} = p_{r+2M}, so degrees >= M fold back first."""
-    if grid_size < 1:
-        raise ValueError(f"grid size must be positive, got {grid_size}")
+    _check_size(grid_size)
     c = np.asarray(coeffs, dtype=float)
     c = c * np.where(np.arange(c.shape[-1]) == 0, SQRT_1_PI, SQRT_2_PI)
     a = np.zeros(c.shape[:-1] + (grid_size + 1,))

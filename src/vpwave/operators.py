@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .bases import ScalingCoeffs, _phi, _phi_ortho, scaling_interp_matrix, scaling_to_cheb
+from .bases import ScalingCoeffs, _from_v, _phi, _phi_ortho, _to_v, scaling_to_cheb
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
@@ -36,7 +36,7 @@ from .chebyshev import (
     probe_values,
     sup_error,
 )
-from .filters import VPLevel, rotate
+from .filters import VPLevel, scale_norms
 
 
 class OperatorKind(enum.Enum):
@@ -70,11 +70,8 @@ def proj_kernel(level: VPLevel, x: float, y: float) -> float:
 
 def _kernel_sections(level: VPLevel, xs: np.ndarray) -> np.ndarray:
     """len(xs) x (n+m) matrix; row j is the expansion of kernel(xs[j], .): the
-    p_r(xs[j]), rotated into orthonormal coordinates, cut to V (the degrees
-    below n) and rotated back."""
-    g = rotate(np.ascontiguousarray(eval_p_table(np.arange(level.n + level.m), xs).T), level)
-    g[..., level.n:] = 0.0
-    return rotate(g, level, inverse=True)
+    p_r(xs[j]) taken to V's orthonormal coordinates and back."""
+    return _from_v(_to_v(eval_p_table(np.arange(level.n + level.m), xs).T, level), level)
 
 
 def _project(values: np.ndarray, level: VPLevel) -> np.ndarray:
@@ -88,7 +85,7 @@ def _project(values: np.ndarray, level: VPLevel) -> np.ndarray:
         # the degrees N < r < n+m
         g = np.concatenate([g, np.zeros(g.shape[:-1] + (1,)),
                             -g[..., size - 1:2 * size - n - m:-1]], axis=-1)
-    return idct(rotate(g[..., :n + m], level)[..., :n])
+    return idct(_to_v(g, level))
 
 
 def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> ScalingCoeffs:
@@ -184,23 +181,22 @@ def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndar
     return acc
 
 
-def _lebesgue_rows(level: VPLevel, kind: LebesgueKind) -> tuple[np.ndarray, str]:
-    """Rows whose |values| sum to lambda-tilde or lambda-bar, and how to describe it."""
-    if kind is LebesgueKind.LAMBDA_TILDE:
-        # row i: the discrete projection of the i-th node's delta, (pi/n) kernel(x_i, .)
-        rows = _phi_ortho(_project(np.eye(level.n), level), level)
-        return rows, f"exact node sum over {level.n} kernel sections"
-    spec = f"exact sum of {level.n} interpolating scaling functions"
-    return scaling_interp_matrix(level).T, spec
-
-
 def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
-    """Lebesgue function of the chosen operator at x (scalar or 1-d array)."""
+    """Lebesgue function of the chosen operator at x, in the shape of x (a
+    float for a scalar).  For lambda-tilde and lambda-bar, c is V's
+    orthonormal coordinates of the p_r(x); at the nodes V's orthonormal basis
+    is p_r with its ramp degrees divided by nu, so (pi/n) kernel(x_k, x) =
+    sqrt(pi/n) idct(c/nu)_k and scaling function k is sqrt(pi/n) idct(c nu)_k."""
     kind = LebesgueKind(kind)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = (_lambda_integral(level, xs) if kind is LebesgueKind.LAMBDA
-            else np.abs(eval_series(_lebesgue_rows(level, kind)[0], xs)).sum(axis=0))
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    xs = np.asarray(x, dtype=float).ravel()
+    if kind is LebesgueKind.LAMBDA:
+        vals = _lambda_integral(level, xs)
+    else:
+        c = _to_v(eval_p_table(np.arange(level.n + level.m), xs).T, level)
+        scale_norms(c, level, inverse=kind is LebesgueKind.LAMBDA_TILDE)
+        vals = np.sqrt(np.pi / level.n) * np.abs(idct(c)).sum(axis=-1)
+    vals = vals.reshape(np.shape(x))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def lebesgue_const(level: VPLevel, kind: LebesgueKind,
@@ -215,7 +211,13 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         vals = _lambda_integral(level, probe_grid(grid_size)[: grid_size // 2 + 1])
         spec = "exact integral between kernel roots: 16(n+m) angle brackets, 6 Newton steps"
     else:
-        rows, spec = _lebesgue_rows(level, kind)
+        if kind is LebesgueKind.LAMBDA_TILDE:
+            # row i: the discrete projection of the i-th node's delta, (pi/n) kernel(x_i, .)
+            rows = _phi_ortho(_project(np.eye(level.n), level), level)
+            spec = f"exact node sum over {level.n} kernel sections"
+        else:  # row k: the k-th interpolating scaling function
+            rows = _phi(np.eye(level.n), level)
+            spec = f"exact sum of {level.n} interpolating scaling functions"
         vals = np.abs(probe_values(rows, grid_size)).sum(axis=0)
     return LebesgueReport(kind, level.n, level.m, float(vals.max()), grid_size, spec)
 

@@ -11,6 +11,7 @@ from oracles import analysis_matrices, detail_transform, scaling_transform
 from util import (
     max_dev,
     quad_gram,
+    scaling_interp_matrix,
     scaling_ortho_matrix,
     split_matrices,
     wavelet_interp_matrix,
@@ -20,7 +21,6 @@ from util import (
 from vpwave.bases import (
     ScalingCoeffs,
     detail_to_cheb,
-    scaling_interp_matrix,
     scaling_to_cheb,
 )
 from vpwave.chebyshev import (

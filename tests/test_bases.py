@@ -3,8 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import approx_norms_sq, approx_scatter, detail_norms_sq, detail_scatter
 from util import (
+    approx_spread,
+    detail_spread,
     max_dev,
     quad_gram,
+    scaling_interp_matrix,
     scaling_ortho_matrix,
     wavelet_interp_matrix,
     wavelet_ortho_matrix,
@@ -13,15 +16,14 @@ from util import (
 from vpwave.bases import (
     DetailCoeffs,
     ScalingCoeffs,
+    _from_v,
+    _from_w,
+    _to_v,
     approx_basis,
-    approx_gather,
-    approx_spread,
     detail_basis,
-    detail_spread,
     detail_to_cheb,
     ortho_to_values,
     scaling_interp,
-    scaling_interp_matrix,
     scaling_ortho,
     scaling_to_cheb,
     values_to_ortho,
@@ -89,16 +91,20 @@ def test_detail_basis_orthogonality_and_complement():
 @pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), VPLevel(4, 3),
                                    L136, VPLevel(60, 59)])
 def test_band_maps_match_dense_scatter(level):
-    # the slice-only maps against the oracle's entry-by-entry scatter, on
-    # the edges m = 1 (empty ramp) and m = n - 1 (ramp over all of V) too
+    # the band maps and the coordinate maps of V and W against the oracle's
+    # entry-by-entry scatter, on the edges m = 1 (empty ramp) and m = n - 1
+    # (ramp over all of V) too
     n, m = level.n, level.m
     a, b = approx_scatter(level), detail_scatter(level)
+    v, w = a / np.sqrt(approx_norms_sq(level)), b / np.sqrt(detail_norms_sq(level))
     rng = np.random.default_rng(n + m)
     t, s = rng.standard_normal((4, n)), rng.standard_normal((4, 2 * n))
     c = rng.standard_normal((4, 3 * n + m))
     assert max_dev(approx_spread(t, level), t @ a.T) < 1e-14
     assert max_dev(detail_spread(s, level), s @ b.T) < 1e-14
-    assert max_dev(approx_gather(c, level), c[:, :n + m] @ a) < 1e-14
+    assert max_dev(_from_v(t, level), t @ v.T) < 1e-14
+    assert max_dev(_to_v(c, level), c[:, :n + m] @ v) < 1e-14
+    assert max_dev(_from_w(s, level), s @ w.T) < 1e-14
 
 
 def test_basis_index_validation():

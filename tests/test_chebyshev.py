@@ -16,6 +16,7 @@ from vpwave.chebyshev import (
     eval_p,
     eval_series,
     idct,
+    probe_grid,
     probe_values,
     sup_error,
     y_nodes,
@@ -37,6 +38,16 @@ def test_nodes_decreasing_in_open_interval():
 def test_nodes_reject_zero():
     with pytest.raises(ValueError):
         cheb_nodes(0)
+
+
+@pytest.mark.parametrize("size", [5.5, 2.0, np.float64(4.0), True, "4"])
+@pytest.mark.parametrize("grid", [cheb_nodes, y_nodes, probe_grid,
+                                  lambda size: probe_values([1.0, 2.0], size)],
+                         ids=["cheb_nodes", "y_nodes", "probe_grid", "probe_values"])
+def test_grid_sizes_must_be_integers(grid, size):
+    with pytest.raises(ValueError, match="grid size"):
+        grid(size)
+    assert len(grid(np.int64(4))) in (4, 5, 8)
 
 
 @pytest.mark.parametrize("n", [4, 13, 40])

@@ -237,6 +237,40 @@ def test_lebesgue_node_sum_vs_integral_window():
     assert ratio.min() > 0.2 and ratio.max() < 5.0
 
 
+@pytest.mark.parametrize("kind", list(LebesgueKind))
+def test_lebesgue_fn_keeps_the_shape_of_x(kind):
+    xs = np.linspace(-0.9, 0.9, 6).reshape(2, 3)
+    vals = lebesgue_fn(L136, kind, xs)
+    assert vals.shape == (2, 3)
+    assert_allclose(vals.ravel(), lebesgue_fn(L136, kind, xs.ravel()), rtol=1e-15, atol=0)
+    scalar = lebesgue_fn(L136, kind, 0.3)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(lebesgue_fn(L136, kind, np.array([0.3]))[0], rel=1e-15)
+    assert lebesgue_fn(L136, kind, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
+@pytest.mark.parametrize("level", [L136, L4020, VPLevel(5, 1)])
+def test_lebesgue_fn_reaches_the_constant_on_the_probe_grid(level, kind):
+    # off the grid the function comes from V's coordinates of the p_r(x); the
+    # constant from the basis rows and one DCT-I
+    got = lebesgue_fn(level, kind, probe_grid(2000)).max()
+    assert got == pytest.approx(lebesgue_const(level, kind, 2000).value, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.array([0.5, np.nan])], ids=["scalar", "array"])
+@pytest.mark.parametrize("call", [lambda x: eval_p(3, x),
+                                  lambda x: eval_series([1.0, 2.0], x),
+                                  lambda x: lebesgue_fn(L136, "lambda", x),
+                                  lambda x: proj_kernel(L136, x, 0.0),
+                                  lambda x: proj_kernel(L136, 0.0, x)],
+                         ids=["eval_p", "eval_series", "lebesgue_fn", "proj_kernel_x",
+                              "proj_kernel_y"])
+def test_nan_points_are_outside_the_domain(call, x):
+    with pytest.raises(ValueError, match="outside"):
+        call(x)
+
+
 def test_lebesgue_const_reports():
     for kind in LebesgueKind:
         rep = lebesgue_const(L136, kind, grid_size=1000)

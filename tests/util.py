@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from vpwave.bases import ScalingCoeffs, scaling_ortho, wavelet_interp, wavelet_ortho
+from vpwave.bases import (
+    ScalingCoeffs,
+    approx_basis,
+    detail_basis,
+    scaling_interp,
+    scaling_ortho,
+    wavelet_interp,
+    wavelet_ortho,
+)
 from vpwave.chebyshev import cheb_nodes, eval_p_table
 from vpwave.filters import VPLevel
 from vpwave.mra import decompose_step
@@ -31,20 +39,37 @@ def split_matrices(level):
             np.column_stack([b.b for _, b in parts]))
 
 
-def _columns(accessor, level, count):
-    return np.column_stack([accessor(level, k) for k in range(1, count + 1)])
+def _columns(accessor, level, first, count):
+    return np.column_stack([accessor(level, k) for k in range(first, first + count)])
+
+
+def approx_spread(t, level):
+    """A: coefficients over q_0..q_{n-1} to p-coefficients of degrees
+    0..n+m-1, along the last axis of t."""
+    return np.asarray(t) @ _columns(approx_basis, level, 0, level.n).T
+
+
+def detail_spread(s, level):
+    """B: coefficients over q~_n..q~_{3n-1} to p-coefficients of degrees
+    0..3n+m-1, along the last axis of s."""
+    return np.asarray(s) @ _columns(detail_basis, level, level.n, 2 * level.n).T
+
+
+def scaling_interp_matrix(level):
+    """(n+m) x n matrix; column k-1 is the expansion of interpolating scaling function k."""
+    return _columns(scaling_interp, level, 1, level.n)
 
 
 def scaling_ortho_matrix(level):
     """(n+m) x n matrix; column k-1 is the expansion of orthonormal scaling function k."""
-    return _columns(scaling_ortho, level, level.n)
+    return _columns(scaling_ortho, level, 1, level.n)
 
 
 def wavelet_interp_matrix(level):
     """(3n+m) x 2n matrix; column k-1 is the expansion of interpolating wavelet k."""
-    return _columns(wavelet_interp, level, 2 * level.n)
+    return _columns(wavelet_interp, level, 1, 2 * level.n)
 
 
 def wavelet_ortho_matrix(level):
     """(3n+m) x 2n matrix; column k-1 is the expansion of orthonormal wavelet k."""
-    return _columns(wavelet_ortho, level, 2 * level.n)
+    return _columns(wavelet_ortho, level, 1, 2 * level.n)
