@@ -19,6 +19,7 @@ from .filters import VPLevel
 from .functions import get_function
 from .mra import (
     PyramidError,
+    _chain_m,
     decompose_multi,
     pyramid_from_json,
     pyramid_to_json,
@@ -144,6 +145,7 @@ def _read_samples(path: str) -> np.ndarray:
 
 
 def cmd_decompose(args) -> int:
+    _chain_m(args.n0, args.levels, args.theta)  # decompose_multi's checks, before n_top
     n_top = args.n0 * 3 ** args.levels
     if args.f is not None:
         samples = get_function(args.f)(cheb_nodes(n_top))
@@ -169,7 +171,7 @@ def cmd_reconstruct(args) -> int:
     for d, e in zip(decomp.details, again.details):
         deviation = max(deviation, float(np.max(np.abs(d.b - e.b))))
     samples = ortho_to_values(top)
-    _write_files({args.out: "\n".join(_fmt(v) for v in samples) + "\n"})
+    _write_files({args.out: "\n".join(map(float.__repr__, samples.tolist())) + "\n"})
     print(f"round-trip deviation: {_fmt(deviation)}")
     return 0
 
@@ -182,8 +184,7 @@ def cmd_basis(args) -> int:
         raise ValueError(f"family {args.family!r} needs --{index_kind}")
     xs = probe_grid(args.grid)
     vals = probe_values(_BASIS_BUILDERS[args.family](level, idx), args.grid)
-    lines = ["x,value"]
-    lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals))
+    lines = ["x,value", *map("{!r},{!r}".format, xs.tolist(), vals.tolist())]
     _write_files({args.out: "\n".join(lines) + "\n"})
     return 0
 

@@ -107,13 +107,19 @@ def pyramid_m(n0: int, theta: float) -> int:
 def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecomposition:
     """Project samples taken on the Chebyshev grid of size n0 * 3**levels and
     run ``levels`` one-step splits down to the base resolution."""
-    if levels < 0:
-        raise ValueError(f"level count must be nonnegative, got {levels}")
-    m = pyramid_m(n0, theta)
+    m = _chain_m(n0, levels, theta)
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     return _split_down(discrete_proj(samples, VPLevel(n0 * 3 ** levels, m)), levels, theta)
+
+
+def _chain_m(n0: int, levels: int, theta: float) -> int:
+    """The shared m of a chain of ``levels`` splits based at n0, after the
+    checks that must pass before n0 * 3**levels sizes anything."""
+    if levels < 0:
+        raise ValueError(f"level count must be nonnegative, got {levels}")
+    return pyramid_m(n0, theta)
 
 
 def reconstruct_multi(decomp: MultiDecomposition) -> ScalingCoeffs:
@@ -205,18 +211,21 @@ def threshold_keep_top(decomp: MultiDecomposition,
 # ---------------------------------------------------------------------------
 
 def pyramid_to_json(decomp: MultiDecomposition) -> str:
-    """JSON document for a pyramid; floats round-trip bit-exactly."""
-    doc = {
-        "theta": decomp.theta,
-        "n0": decomp.base.level.n,
-        "L": decomp.levels,
-        "base": [float(x) for x in decomp.base.a],
-        "details": [
-            {"n": d.level.n, "m": d.level.m, "b": [float(x) for x in d.b]}
-            for d in decomp.details
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    """JSON document for a pyramid, laid out exactly as ``json.dumps(doc,
+    indent=1)`` would but written without that pure-Python encoder; floats
+    round-trip bit-exactly, and a non-finite coefficient raises ValueError."""
+    def floats(a, pad):  # the array of a key whose line starts with pad
+        if not np.all(np.isfinite(a)):
+            raise ValueError("pyramid coefficients must be finite")
+        return f"[{pad} ", f",{pad} ".join(map(float.__repr__, a.tolist())), f"{pad}]"
+    parts = [f'{{\n "theta": {float(decomp.theta)!r},\n "n0": {int(decomp.base.level.n)},'
+             f'\n "L": {decomp.levels},\n "base": ', *floats(decomp.base.a, "\n "),
+             ',\n "details": [']
+    for i, d in enumerate(decomp.details):
+        parts += [f'{"," if i else ""}\n  {{\n   "n": {int(d.level.n)},\n   "m": {int(d.level.m)},'
+                  '\n   "b": ', *floats(d.b, "\n   "), "\n  }"]
+    parts.append("\n ]\n}" if decomp.details else "]\n}")
+    return "".join(parts)
 
 
 def pyramid_from_json(text: str) -> MultiDecomposition:

@@ -167,8 +167,9 @@ def test_decompose_determinism_and_sample_files(tmp_path):
 
 def test_decompose_malformed_samples(tmp_path):
     sfile = tmp_path / "bad.csv"
+    # the last samples are finite, but their coefficients overflow
     for text in ("1.0\nnot-a-number\n", "1.0\n2.0\nnan\n4.0\n5.0\n",
-                 "1.0\n2.0\ninf\n4.0\n5.0\n"):
+                 "1.0\n2.0\ninf\n4.0\n5.0\n", "1.7e308\n" * 5):
         sfile.write_text(text)
         code = main(["decompose", "--samples", str(sfile), "--n0", "5",
                      "--levels", "0", "--theta", "0.5", "--out", str(tmp_path / "x.json")])
@@ -193,6 +194,23 @@ def test_decompose_wrong_sample_count(tmp_path):
                  "--levels", "2", "--theta", "0.5", "--out", str(tmp_path / "x.json")])
     assert code == 2
 
+
+# the pyramid's own checks run before n0 * 3^L sizes a grid or a sample file
+@pytest.mark.parametrize("source, n0, levels, message", [
+    ("--f", "5", "-1", "level count must be nonnegative, got -1"),
+    ("--samples", "5", "-1", "level count must be nonnegative, got -1"),
+    ("--f", "0", "1", "level requires 0 < m < n, got (n=0, m=0)"),
+    ("--f", "-3", "2", "level requires 0 < m < n, got (n=-3, m=-2)"),
+])
+def test_decompose_reports_a_bad_level_chain(tmp_path, capsys, source, n0, levels, message):
+    sfile = tmp_path / "samples.csv"
+    sfile.write_text("1.0\n2.0\n")
+    out = tmp_path / "x.json"
+    code = main(["decompose", source, "sin" if source == "--f" else str(sfile), "--n0", n0,
+                 "--levels", levels, "--theta", "0.5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 def test_reconstruct_level_chain_mismatch(tmp_path):
     pyr = tmp_path / "pyr.json"
@@ -282,6 +300,27 @@ def test_basis_command_q_matches_library(tmp_path):
     expected = approx_scatter(VPLevel(13, 6))[:, 12] @ probe_table(np.arange(19), 500)
     np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-15)
 
+
+
+def test_csv_columns_are_the_repr_of_each_value(tmp_path, capsys):
+    from vpwave.bases import ortho_to_values, wavelet_interp
+    from vpwave.chebyshev import probe_grid, probe_values
+    from vpwave.filters import VPLevel
+    from vpwave.mra import pyramid_from_json, reconstruct_multi
+
+    pyr, rec, psi = tmp_path / "pyr.json", tmp_path / "rec.csv", tmp_path / "psi.csv"
+    assert main(["decompose", "--f", "runge", "--n0", "5", "--levels", "2", "--theta", "0.5",
+                 "--out", str(pyr)]) == 0
+    assert main(["reconstruct", "--pyramid", str(pyr), "--out", str(rec)]) == 0
+    values = ortho_to_values(reconstruct_multi(pyramid_from_json(pyr.read_text())))
+    assert rec.read_bytes() == "".join(repr(float(v)) + "\n" for v in values).encode()
+
+    assert main(["basis", "--family", "psi", "--n", "13", "--m", "6", "--k", "7",
+                 "--grid", "500", "--out", str(psi)]) == 0
+    vals = probe_values(wavelet_interp(VPLevel(13, 6), 7), 500)
+    expected = "x,value\n" + "".join(f"{repr(float(x))},{repr(float(v))}\n"
+                                     for x, v in zip(probe_grid(500), vals))
+    assert psi.read_bytes() == expected.encode()
 
 def test_basis_command_bad_index(tmp_path):
     out = tmp_path / "never.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import analysis_matrices, detail_transform, scaling_transform
-from util import max_dev, split_matrices
+from util import max_dev, pyramid_json_oracle, split_matrices
 
 from vpwave.bases import (
     DetailCoeffs,
@@ -340,6 +340,43 @@ def test_pyramid_json_round_trip_bit_exact():
         assert np.array_equal(d.b, e.b)
         assert d.level == e.level
     assert pyramid_to_json(back) == text
+
+
+_PINNED_BASE = ScalingCoeffs(VPLevel(3, 1), [1.0, -0.0, 0.1])
+_PINNED_DETAIL = DetailCoeffs(VPLevel(3, 1), [5e-324, 1e16, -1.7976931348623157e308,
+                                              2.0, 0.5, -3.25])
+
+
+@pytest.mark.parametrize("details, expected", [
+    ((), '{\n "theta": 0.5,\n "n0": 3,\n "L": 0,\n "base": [\n  1.0,\n  -0.0,\n  0.1\n ],'
+         '\n "details": []\n}'),
+    ((_PINNED_DETAIL,),
+     '{\n "theta": 0.5,\n "n0": 3,\n "L": 1,\n "base": [\n  1.0,\n  -0.0,\n  0.1\n ],'
+     '\n "details": [\n  {\n   "n": 3,\n   "m": 1,\n   "b": [\n    5e-324,\n    1e+16,'
+     '\n    -1.7976931348623157e+308,\n    2.0,\n    0.5,\n    -3.25\n   ]\n  }\n ]\n}'),
+])
+def test_pyramid_json_pinned_layout(details, expected):
+    # built without a DCT, so the text does not depend on the numpy/scipy version
+    decomp = MultiDecomposition(0.5, _PINNED_BASE, details)
+    assert pyramid_to_json(decomp) == expected
+    assert pyramid_json_oracle(decomp) == expected
+
+
+def test_pyramid_json_takes_numpy_sizes_and_theta():
+    samples = np.random.default_rng(16).standard_normal(81 * 9)
+    plain = pyramid_to_json(decompose_multi(samples, 81, 2, 0.5))
+    text = pyramid_to_json(decompose_multi(samples, np.int64(81), 2, np.float64(0.5)))
+    assert text == plain
+    assert pyramid_to_json(pyramid_from_json(text)) == text
+
+
+def test_pyramid_json_refuses_non_finite_coefficients():
+    # the reader refuses NaN and Infinity, so the writer does not write them
+    for base, details in (([1.0, np.nan, 0.0], ()), ([1.0, 0.0, 0.0], ([0.0] * 5 + [-np.inf],))):
+        decomp = MultiDecomposition(0.5, ScalingCoeffs(VPLevel(3, 1), base),
+                                    [DetailCoeffs(VPLevel(3, 1), b) for b in details])
+        with pytest.raises(ValueError, match="must be finite"):
+            pyramid_to_json(decomp)
 
 
 _BAD_PYRAMIDS = [

@@ -1,6 +1,7 @@
 """Property tests of the ramp rotation and the one-step split and merge over
 random levels (n, m), of the pyramid level chain against its JSON round
-trip, and of the keep-top selection against a stable sort."""
+trip, of the JSON writer against the indenting encoder, and of the keep-top
+selection against a stable sort."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import analysis_matrices
-from util import max_dev
+from util import max_dev, pyramid_json_oracle
 
 from vpwave.bases import DetailCoeffs, ScalingCoeffs
 from vpwave.filters import VPLevel, rotate
@@ -103,6 +104,33 @@ def test_pyramid_accepted_iff_chain_holds_and_survives_json(n0, theta, levels, b
     for d, e in zip(details, back.details, strict=True):
         assert e.level == d.level and np.array_equal(e.b, d.b)
     assert pyramid_to_json(back) == text
+
+
+# coefficients come from a drawn pool of finite floats that mixes in signed
+# zeros, subnormals, the largest floats, 1e16 and integer-valued floats; the
+# example is the m = 1 pyramid based at n0 = 3
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -7.0, 2.0 ** 53]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n0=st.integers(3, 12), theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       levels=st.integers(0, 3),
+       pool=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@example(n0=3, theta=0.5, levels=2, pool=_EDGE_FLOATS, seed=0)
+def test_pyramid_json_matches_the_indenting_encoder(n0, theta, levels, pool, seed):
+    try:
+        m = pyramid_m(n0, theta)
+    except ValueError:
+        return
+    rng = np.random.default_rng(seed)
+    base = ScalingCoeffs(VPLevel(n0, m), rng.choice(pool, n0))
+    details = [DetailCoeffs(VPLevel(n0 * 3 ** i, m), rng.choice(pool, 2 * n0 * 3 ** i))
+               for i in range(levels)]
+    decomp = MultiDecomposition(theta, base, details)
+    assert pyramid_to_json(decomp) == pyramid_json_oracle(decomp)
 
 
 # integer-valued details (signed zeros included) tie often; the kept set must

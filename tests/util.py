@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import json
+
 import numpy as np
 
 from vpwave.bases import (
@@ -24,6 +26,22 @@ def quad_gram(coeffs_a, coeffs_b, n_quad):
     va = coeffs_a.T @ eval_p_table(np.arange(coeffs_a.shape[0]), xs)
     vb = coeffs_b.T @ eval_p_table(np.arange(coeffs_b.shape[0]), xs)
     return (np.pi / n_quad) * va @ vb.T
+
+
+def pyramid_json_oracle(decomp):
+    """The pyramid document as ``json.dumps(doc, indent=1)`` renders it: the
+    layout that pyramid_to_json writes without the encoder."""
+    doc = {
+        "theta": decomp.theta,
+        "n0": decomp.base.level.n,
+        "L": decomp.levels,
+        "base": [float(x) for x in decomp.base.a],
+        "details": [
+            {"n": d.level.n, "m": d.level.m, "b": [float(x) for x in d.b]}
+            for d in decomp.details
+        ],
+    }
+    return json.dumps(doc, indent=1)
 
 
 def max_dev(actual, expected):
