@@ -24,6 +24,7 @@ matrix is the matching map applied to an identity.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,35 +35,42 @@ from .filters import VPLevel, rotate, scale_norms
 SQRT2 = math.sqrt(2.0)
 
 
+def _vector(values, size: int, what: str) -> np.ndarray:
+    """A finite float copy of ``values`` of shape (size,), else ValueError."""
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{what} must be finite") from exc
+    if out.shape != (size,):
+        raise ValueError(f"expected {size} {what}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
 @dataclass(frozen=True)
 class ScalingCoeffs:
     """Coefficients (length n) in the orthonormal scaling basis at ``level``,
-    held as a read-only copy of the array given."""
+    held as a read-only copy of the array given, which must be finite."""
 
     level: VPLevel
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.array(self.a, dtype=float))
-        if self.a.shape != (self.level.n,):
-            raise ValueError(
-                f"expected {self.level.n} scaling coefficients, got {self.a.shape}")
+        object.__setattr__(self, "a", _vector(self.a, self.level.n, "scaling coefficients"))
         self.a.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class DetailCoeffs:
     """Coefficients (length 2n) in the orthonormal wavelet basis at ``level``,
-    held as a read-only copy of the array given."""
+    held as a read-only copy of the array given, which must be finite."""
 
     level: VPLevel
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.array(self.b, dtype=float))
-        if self.b.shape != (2 * self.level.n,):
-            raise ValueError(
-                f"expected {2 * self.level.n} detail coefficients, got {self.b.shape}")
+        object.__setattr__(self, "b", _vector(self.b, 2 * self.level.n, "detail coefficients"))
         self.b.setflags(write=False)
 
 
@@ -214,6 +222,8 @@ def _psi(u, level: VPLevel) -> np.ndarray:
 
 def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
     """Unit vector of length ``count`` for ``index`` in [first, first+count-1]."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {index!r}")
     if not first <= index < first + count:
         raise ValueError(f"{what} {index} outside [{first}, {first + count - 1}]")
     e = np.zeros(count)
@@ -269,7 +279,7 @@ def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:
     """Orthonormal coefficients of the unique element of V that interpolates
     ``samples`` on the level-n Chebyshev grid (node order)."""
-    t = scale_norms(dct(_as_length(samples, level.n)), level)
+    t = scale_norms(dct(_vector(samples, level.n, "samples")), level)
     return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * idct(t))
 
 

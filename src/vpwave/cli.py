@@ -86,51 +86,37 @@ def _write_files(files: dict[str, str]) -> None:
         raise
 
 
+def _write_sweep(args, column: str, points: list, meta: dict, **tail) -> int:
+    """Write the theta,n,m,<column> CSV of a sweep's (theta, n, m, value)
+    points and its <out>.meta.json sidecar: ``meta``, the probe grid, ``tail``."""
+    if not points:
+        raise ValueError("every level of the sweep is degenerate")
+    lines = [f"theta,n,m,{column}", *(f"{_fmt(t)},{n},{m},{_fmt(v)}" for t, n, m, v in points)]
+    meta = {**meta, "grid_size": args.grid, "probe_grid": "cos(j*pi/M), j = 0..M", **tail}
+    _write_files({args.out: "\n".join(lines) + "\n",
+                  args.out + ".meta.json": json.dumps(meta, indent=1) + "\n"})
+    return 0
+
+
 def cmd_error(args) -> int:
     f = get_function(args.f)
     kind = OperatorKind(args.op)
     thetas = _parse_theta_list(args.theta)
     n_list = _parse_int_list(args.n)
-    lines = ["theta,n,m,error"]
-    for theta in thetas:
-        for point in error_curve(f, kind, theta, n_list, grid_size=args.grid):
-            lines.append(f"{_fmt(theta)},{point.n},{point.m},{_fmt(point.error)}")
-    if len(lines) == 1:
-        raise ValueError("every level of the sweep is degenerate")
-    meta = {
-        "function": args.f,
-        "operator": kind.value,
-        "grid_size": args.grid,
-        "probe_grid": "cos(j*pi/M), j = 0..M",
-    }
-    _write_files({args.out: "\n".join(lines) + "\n",
-                  args.out + ".meta.json": json.dumps(meta, indent=1) + "\n"})
-    return 0
+    points = [(theta, p.n, p.m, p.error) for theta in thetas
+              for p in error_curve(f, kind, theta, n_list, grid_size=args.grid)]
+    return _write_sweep(args, "error", points, {"function": args.f, "operator": kind.value})
 
 
 def cmd_lebesgue(args) -> int:
     kind = LebesgueKind(args.kind)
     thetas = _parse_theta_list(args.theta)
     n_list = _parse_int_list(args.n)
-    lines = ["theta,n,m,value"]
-    meta_rows = []
-    for theta in thetas:
-        for level in _sweep_levels(theta, n_list):
-            report = lebesgue_const(level, kind, grid_size=args.grid)
-            lines.append(f"{_fmt(theta)},{level.n},{level.m},{_fmt(report.value)}")
-            meta_rows.append({"theta": theta, "n": level.n, "m": level.m,
-                              "quad_spec": report.quad_spec})
-    if len(lines) == 1:
-        raise ValueError("every level of the sweep is degenerate")
-    meta = {
-        "kind": kind.value,
-        "grid_size": args.grid,
-        "probe_grid": "cos(j*pi/M), j = 0..M",
-        "rows": meta_rows,
-    }
-    _write_files({args.out: "\n".join(lines) + "\n",
-                  args.out + ".meta.json": json.dumps(meta, indent=1) + "\n"})
-    return 0
+    reports = [(theta, lebesgue_const(level, kind, grid_size=args.grid))
+               for theta in thetas for level in _sweep_levels(theta, n_list)]
+    points = [(theta, r.n, r.m, r.value) for theta, r in reports]
+    rows = [{"theta": theta, "n": r.n, "m": r.m, "quad_spec": r.quad_spec} for theta, r in reports]
+    return _write_sweep(args, "value", points, {"kind": kind.value}, rows=rows)
 
 
 def _read_samples(path: str) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .bases import ScalingCoeffs, _from_v, _phi, _phi_ortho, _to_v, scaling_to_cheb
+from .bases import ScalingCoeffs, _from_v, _phi, _phi_ortho, _to_v, _vector, scaling_to_cheb
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
@@ -99,25 +99,20 @@ def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> Scal
         n_quad = 16 * (n + m)
     if n_quad < n:
         raise ValueError(f"quadrature size {n_quad} underresolves the projection (n={n})")
-    return ScalingCoeffs(level, _project(np.asarray(f(cheb_nodes(n_quad)), dtype=float), level))
+    values = _vector(f(cheb_nodes(n_quad)), n_quad, "values of f")
+    return ScalingCoeffs(level, _project(values, level))
 
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
     """Discrete projection built from samples on the level-n Chebyshev grid:
     fourier_proj with the n-point Gauss-Chebyshev rule."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (level.n,):
-        raise ValueError(f"expected {level.n} samples, got {samples.shape}")
-    return ScalingCoeffs(level, _project(samples, level))
+    return ScalingCoeffs(level, _project(_vector(samples, level.n, "samples"), level))
 
 
 def vp_interp(samples, level: VPLevel) -> np.ndarray:
     """Interpolating mean of the samples: the element of V matching them on
     the node grid, as its p-coefficients of degrees 0..n+m-1."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (level.n,):
-        raise ValueError(f"expected {level.n} samples, got {samples.shape}")
-    return _phi(samples, level)
+    return _phi(_vector(samples, level.n, "samples"), level)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         # function is even and half the grid suffices
         vals = _lambda_integral(level, probe_grid(grid_size)[: grid_size // 2 + 1])
         spec = "exact integral between kernel roots: 16(n+m) angle brackets, 6 Newton steps"
-    else:
+    else:  # basis rows, one DCT-I each: lebesgue_fn's per-point p_r table is 1.5x slower
         if kind is LebesgueKind.LAMBDA_TILDE:
             # row i: the discrete projection of the i-th node's delta, (pi/n) kernel(x_i, .)
             rows = _phi_ortho(_project(np.eye(level.n), level), level)

@@ -116,6 +116,13 @@ def test_basis_index_validation():
         scaling_interp(L136, 0)
     with pytest.raises(ValueError):
         wavelet_ortho(L136, 27)
+    # an index is an integer: not 3.5, not 13.0 (although in range), not True
+    for bad in (3.5, 13.0, True):
+        for build in (approx_basis, detail_basis, scaling_interp, scaling_ortho,
+                      wavelet_interp, wavelet_ortho):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build(L136, bad)
+    assert np.array_equal(scaling_ortho(L136, np.int64(7)), scaling_ortho(L136, 7))
 
 
 def test_interp_scaling_deltas():

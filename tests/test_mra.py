@@ -371,11 +371,11 @@ def test_pyramid_json_takes_numpy_sizes_and_theta():
 
 
 def test_pyramid_json_refuses_non_finite_coefficients():
-    # the reader refuses NaN and Infinity, so the writer does not write them
+    # the reader refuses NaN and Infinity, and a pyramid cannot hold them
     for base, details in (([1.0, np.nan, 0.0], ()), ([1.0, 0.0, 0.0], ([0.0] * 5 + [-np.inf],))):
-        decomp = MultiDecomposition(0.5, ScalingCoeffs(VPLevel(3, 1), base),
-                                    [DetailCoeffs(VPLevel(3, 1), b) for b in details])
         with pytest.raises(ValueError, match="must be finite"):
+            decomp = MultiDecomposition(0.5, ScalingCoeffs(VPLevel(3, 1), base),
+                                        [DetailCoeffs(VPLevel(3, 1), b) for b in details])
             pyramid_to_json(decomp)
 
 

@@ -6,6 +6,7 @@ from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp
 from util import max_dev, scaling_ortho_matrix
 
 from vpwave.bases import (
+    DetailCoeffs,
     ScalingCoeffs,
     ortho_to_values,
     scaling_ortho,
@@ -22,6 +23,7 @@ from vpwave.chebyshev import (
     sup_error,
 )
 from vpwave.filters import VPLevel
+from vpwave.mra import decompose_multi
 from vpwave.operators import (
     LebesgueKind,
     OperatorKind,
@@ -106,6 +108,31 @@ def test_fourier_proj_matches_dense_quadrature(n_quad):
 def test_fourier_proj_rejects_underresolved_quadrature():
     with pytest.raises(ValueError):
         fourier_proj(np.cos, L136, n_quad=12)
+
+
+_ONE_NAN = [0.0] * 12 + [np.nan]  # built without arithmetic: no RuntimeWarning
+_ONE_INF = [0.0] * 6 + [np.inf] + [0.0] * 6
+
+
+@pytest.mark.parametrize("call", [
+    lambda: discrete_proj(_ONE_NAN, L136),
+    lambda: discrete_proj(_ONE_INF, L136),
+    lambda: vp_interp(_ONE_NAN, L136),
+    lambda: vp_interp(_ONE_INF, L136),
+    lambda: values_to_ortho(_ONE_NAN, L136),
+    lambda: values_to_ortho(_ONE_INF, L136),
+    lambda: fourier_proj(lambda x: np.full_like(x, np.nan), L136),
+    lambda: ScalingCoeffs(L136, _ONE_NAN),
+    lambda: DetailCoeffs(L136, _ONE_NAN + _ONE_NAN),
+    lambda: ScalingCoeffs(L136, [10**400] + [0] * 12),
+    # finite samples whose projection overflows
+    lambda: decompose_multi(np.full(45, 1.7e308), 5, 2, 0.5),
+], ids=["discrete-nan", "discrete-inf", "interp-nan", "interp-inf", "ortho-nan",
+        "ortho-inf", "fourier-nan", "scaling-nan", "detail-nan", "scaling-huge-int",
+        "decompose-overflow"])
+def test_every_vector_must_be_finite(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
 
 
 def test_discrete_proj_reproduces_low_degree_polynomials():
