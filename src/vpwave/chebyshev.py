@@ -59,8 +59,8 @@ def _check_domain(x):
 
 def eval_p(r: int, x):
     """Orthonormal Chebyshev polynomial p_r at x (scalar or array), |x| <= 1."""
-    if r < 0:
-        raise ValueError(f"degree must be nonnegative, got {r}")
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 0:
+        raise ValueError(f"degree must be a nonnegative integer, got {r!r}")
     x = _check_domain(x)
     scale = SQRT_1_PI if r == 0 else SQRT_2_PI
     out = scale * np.cos(r * np.arccos(x))
@@ -78,18 +78,19 @@ def eval_p_table(degrees, x) -> np.ndarray:
 
 def dct(v) -> np.ndarray:
     """Fast orthonormal DCT-II along the last axis (see module docstring)."""
-    return scipy.fft.dct(_nonempty(v), type=2, norm="ortho")
+    return scipy.fft.dct(_last_axis(v, 1), type=2, norm="ortho")
 
 
 def idct(v) -> np.ndarray:
     """Fast orthonormal DCT-III along the last axis (transpose/inverse of dct)."""
-    return scipy.fft.idct(_nonempty(v), type=2, norm="ortho")
+    return scipy.fft.idct(_last_axis(v, 1), type=2, norm="ortho")
 
 
-def _nonempty(v) -> np.ndarray:
+def _last_axis(v, least: int = 0) -> np.ndarray:
+    """v as floats with a last axis of at least ``least`` entries; a scalar has none."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or v.shape[-1] == 0:
-        raise ValueError("the cosine transforms expect a nonempty last axis")
+    if v.ndim == 0 or v.shape[-1] < least:
+        raise ValueError(f"expected a last axis of length >= {least}, got shape {v.shape}")
     return v
 
 
@@ -99,7 +100,7 @@ def eval_series(coeffs, x):
     The result has shape coeffs.shape[:-1] + x.shape: a float for 1-d coeffs
     and a scalar x."""
     x = _check_domain(x)
-    c = np.asarray(coeffs, dtype=float)
+    c = _last_axis(coeffs)
     out = np.zeros(c.shape[:-1] + (x.size,))
     step = max(1, (1 << 20) // (x.size or 1))
     for start in range(0, c.shape[-1], step):
@@ -121,7 +122,7 @@ def probe_values(coeffs, grid_size: int) -> np.ndarray:
     """Sum_r c_r p_r on probe_grid(grid_size) along the last axis, by one DCT-I.
     On the grid p_r = p_{2M-r} = p_{r+2M}, so degrees >= M fold back first."""
     _check_size(grid_size)
-    c = np.asarray(coeffs, dtype=float)
+    c = _last_axis(coeffs)
     c = c * np.where(np.arange(c.shape[-1]) == 0, SQRT_1_PI, SQRT_2_PI)
     a = np.zeros(c.shape[:-1] + (grid_size + 1,))
     for start in range(0, c.shape[-1], 2 * grid_size):

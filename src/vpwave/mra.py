@@ -13,6 +13,7 @@ which the inverse DCT and detail_synthesis take to the two node bases.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,8 @@ def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecompo
 def _chain_m(n0: int, levels: int, theta: float) -> int:
     """The shared m of a chain of ``levels`` splits based at n0, after the
     checks that must pass before n0 * 3**levels sizes anything."""
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+        raise ValueError(f"level count must be an integer, got {levels!r}")
     if levels < 0:
         raise ValueError(f"level count must be nonnegative, got {levels}")
     return pyramid_m(n0, theta)

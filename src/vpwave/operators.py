@@ -7,8 +7,8 @@ of V:
                    grid (reproduces the samples exactly),
 * fourier_proj  -- the orthogonal projection onto V, with the inner products
                    approximated by Gauss-Chebyshev quadrature,
-* discrete_proj -- the discrete projection obtained from fourier_proj by
-                   collapsing the quadrature onto the n-point node grid.
+* discrete_proj -- fourier_proj with the n-point rule on the node grid, where
+                   it divides the ramp of the DCT by nu (vp_interp multiplies).
 
 Alongside them: the reproducing kernel of the projection, the associated
 Lebesgue functions/constants (integral, node-sum and interpolatory
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .bases import ScalingCoeffs, _from_v, _phi, _phi_ortho, _to_v, _vector, scaling_to_cheb
+from .bases import ScalingCoeffs, _from_v, _phi, _to_v, _vector, scaling_to_cheb
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
@@ -74,39 +74,23 @@ def _kernel_sections(level: VPLevel, xs: np.ndarray) -> np.ndarray:
     return _from_v(_to_v(eval_p_table(np.arange(level.n + level.m), xs).T, level), level)
 
 
-def _project(values: np.ndarray, level: VPLevel) -> np.ndarray:
-    """Orthonormal scaling coefficients, along the last axis, of the projection
-    whose inner products g_r = (pi/N) sum_k f(x_k) p_r(x_k) come from the values
-    at the N-point Chebyshev nodes, N >= n."""
-    n, m, size = level.n, level.m, values.shape[-1]
-    g = np.sqrt(np.pi / size) * dct(values)
-    if size < n + m:
-        # on the N-point grid p_N vanishes and p_r = -p_{2N-r}, which supplies
-        # the degrees N < r < n+m
-        g = np.concatenate([g, np.zeros(g.shape[:-1] + (1,)),
-                            -g[..., size - 1:2 * size - n - m:-1]], axis=-1)
-    return idct(_to_v(g, level))
-
-
-def fourier_proj(f: Callable, level: VPLevel, n_quad: int | None = None) -> ScalingCoeffs:
-    """Orthogonal projection of f onto V with quadrature-approximated coefficients.
-
-    ``n_quad`` defaults to 16 (n+m), which drives smooth integrands to
-    roundoff; anything below n is rejected as underresolved.
-    """
-    n, m = level.n, level.m
-    if n_quad is None:
-        n_quad = 16 * (n + m)
-    if n_quad < n:
-        raise ValueError(f"quadrature size {n_quad} underresolves the projection (n={n})")
-    values = _vector(f(cheb_nodes(n_quad)), n_quad, "values of f")
-    return ScalingCoeffs(level, _project(values, level))
+def fourier_proj(f: Callable, level: VPLevel) -> ScalingCoeffs:
+    """Orthogonal projection of f onto V: the inner products g_r = (pi/N) sum_k
+    f(x_k) p_r(x_k) by the N = 16(n+m) point Gauss-Chebyshev rule (roundoff for
+    smooth f), taken to V's orthonormal coordinates, then to the scaling basis."""
+    size = 16 * (level.n + level.m)
+    g = np.sqrt(np.pi / size) * dct(_vector(f(cheb_nodes(size)), size, "values of f"))
+    return ScalingCoeffs(level, idct(_to_v(g, level)))
 
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
     """Discrete projection built from samples on the level-n Chebyshev grid:
-    fourier_proj with the n-point Gauss-Chebyshev rule."""
-    return ScalingCoeffs(level, _project(_vector(samples, level.n, "samples"), level))
+    fourier_proj with the n-point rule.  On that grid p_n vanishes and
+    p_{n+j} = -p_{n-j}, so each ramp pair enters the rotation as (g, -g) and
+    leaves it as g/nu_j: the ramp of the DCT is divided by nu, where the
+    interpolant (values_to_ortho) multiplies it by nu."""
+    g = np.sqrt(np.pi / level.n) * dct(_vector(samples, level.n, "samples"))
+    return ScalingCoeffs(level, idct(scale_norms(g, level, inverse=True)))
 
 
 def vp_interp(samples, level: VPLevel) -> np.ndarray:
@@ -206,13 +190,13 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         vals = _lambda_integral(level, probe_grid(grid_size)[: grid_size // 2 + 1])
         spec = "exact integral between kernel roots: 16(n+m) angle brackets, 6 Newton steps"
     else:  # basis rows, one DCT-I each: lebesgue_fn's per-point p_r table is 1.5x slower
-        if kind is LebesgueKind.LAMBDA_TILDE:
-            # row i: the discrete projection of the i-th node's delta, (pi/n) kernel(x_i, .)
-            rows = _phi_ortho(_project(np.eye(level.n), level), level)
-            spec = f"exact node sum over {level.n} kernel sections"
-        else:  # row k: the k-th interpolating scaling function
-            rows = _phi(np.eye(level.n), level)
-            spec = f"exact sum of {level.n} interpolating scaling functions"
+        # row i of lambda-tilde is the discrete projection of the i-th node's delta,
+        # (pi/n) kernel(x_i, .); row k of lambda-bar is interpolating scaling function k
+        tilde = kind is LebesgueKind.LAMBDA_TILDE
+        rows = _from_v(scale_norms(dct(np.eye(level.n)), level, inverse=tilde), level)
+        rows *= np.sqrt(np.pi / level.n)
+        spec = (f"exact node sum over {level.n} kernel sections" if tilde
+                else f"exact sum of {level.n} interpolating scaling functions")
         vals = np.abs(probe_values(rows, grid_size)).sum(axis=0)
     return LebesgueReport(kind, level.n, level.m, float(vals.max()), grid_size, spec)
 

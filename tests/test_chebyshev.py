@@ -77,6 +77,7 @@ def test_eval_p_values():
     for r in (1, 2, 7):
         assert eval_p(r, 1.0) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-15)
     assert eval_p(2, 0.0) == pytest.approx(-math.sqrt(2 / math.pi), abs=1e-15)
+    assert eval_p(np.int64(2), 0.3) == eval_p(2, 0.3)
 
 
 def test_eval_p_domain_errors():
@@ -84,6 +85,12 @@ def test_eval_p_domain_errors():
         eval_p(3, 1.0000001)
     with pytest.raises(ValueError):
         eval_p(-1, 0.5)
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, True])
+def test_eval_p_degree_must_be_an_integer(degree):
+    with pytest.raises(ValueError, match="integer"):
+        eval_p(degree, 0.3)
 
 
 @pytest.mark.parametrize("n", [8, 13])
@@ -223,6 +230,15 @@ def test_probe_values_match_exact_angles(grid_size, degrees):
     bound = 1e-14 * np.abs(c).sum(axis=1, keepdims=True)
     assert np.all(np.abs(out - expected) <= bound)
     assert_allclose(probe_values(c[0], grid_size), out[0], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("evaluate", [lambda c: probe_values(c, 10),
+                                      lambda c: eval_series(c, 0.2)],
+                         ids=["probe_values", "eval_series"])
+def test_series_refuse_scalar_coefficients(evaluate):
+    with pytest.raises(ValueError, match="last axis"):
+        evaluate(3.0)
+    assert np.all(evaluate(np.zeros(0)) == 0.0)  # an empty series is 0
 
 
 def test_probe_values_reject_empty_grid():

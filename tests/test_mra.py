@@ -247,6 +247,19 @@ def test_decompose_multi_validation():
         decompose_multi(np.zeros(12), 4, 1, 0.1)  # m = 0
 
 
+@pytest.mark.parametrize("levels", [True, 2.0, 1.5])
+def test_decompose_multi_level_count_must_be_an_integer(levels):
+    with pytest.raises(ValueError, match="level count must be an integer"):
+        decompose_multi(np.zeros(15), 5, levels, 0.5)
+
+
+def test_decompose_multi_takes_a_numpy_level_count():
+    samples = np.sin(cheb_nodes(45))
+    got, expected = decompose_multi(samples, 5, np.int64(2), 0.5), decompose_multi(samples, 5, 2, 0.5)
+    assert got.levels == 2
+    assert np.array_equal(got.base.a, expected.base.a)
+
+
 def test_multi_roundtrip_three_sizes():
     rng = np.random.default_rng(10)
     for n0, levels, theta in ((5, 2, 0.5), (10, 2, 0.3), (27, 1, 0.7)):

@@ -76,7 +76,7 @@ def test_kernel_node_marginal_is_one():
 
 def test_fourier_proj_recovers_basis_element():
     f = lambda x: eval_series(scaling_ortho(L136, 7), x)
-    c = fourier_proj(f, L136, n_quad=80)
+    c = fourier_proj(f, L136)
     expected = np.zeros(13)
     expected[6] = 1.0
     assert max_dev(c.a, expected) < 1e-12
@@ -93,21 +93,25 @@ def test_fourier_proj_reproduces_low_degree_polynomials():
 
 def test_fourier_proj_annihilates_wavelets():
     f = lambda x: eval_series(wavelet_ortho(L136, 3), x)
-    c = fourier_proj(f, L136, n_quad=200)
+    c = fourier_proj(f, L136)
     assert np.abs(c.a).max() < 1e-11
 
 
-@pytest.mark.parametrize("n_quad", [13, 16, 18, 19, 20, 304])
-def test_fourier_proj_matches_dense_quadrature(n_quad):
-    # n <= n_quad < n+m: the top degrees of V alias onto lower ones on the grid
-    f = lambda x: np.exp(np.sin(3 * x)) + np.abs(x - 0.1)
-    fast = fourier_proj(f, L136, n_quad=n_quad).a
-    assert max_dev(fast, dense_fourier_proj(f, L136, n_quad)) < 1e-13
+def _rough(x):
+    return np.exp(np.sin(3 * x)) + np.abs(x - 0.1)
 
 
-def test_fourier_proj_rejects_underresolved_quadrature():
-    with pytest.raises(ValueError):
-        fourier_proj(np.cos, L136, n_quad=12)
+def test_fourier_proj_matches_dense_quadrature():
+    fast = fourier_proj(_rough, L136).a
+    assert max_dev(fast, dense_fourier_proj(_rough, L136, 16 * (13 + 6))) < 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(13, 6), (5, 1), (40, 39), (27, 13)])
+def test_discrete_proj_matches_dense_quadrature(n, m):
+    # the n-point rule: the ramp degrees n+j alias onto -p_{n-j} on the grid
+    level = VPLevel(n, m)
+    fast = discrete_proj(_rough(cheb_nodes(n)), level).a
+    assert max_dev(fast, dense_fourier_proj(_rough, level, n)) < 1e-13
 
 
 _ONE_NAN = [0.0] * 12 + [np.nan]  # built without arithmetic: no RuntimeWarning
