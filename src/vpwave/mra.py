@@ -7,8 +7,10 @@ orthogonal 3n x 3n map, so reconstruction is exact and energy is preserved.
 Both directions run in O(n log n).  The DCT of the fine coefficients gives
 their coordinates over the orthonormal modified Chebyshev basis of level
 3n; the m-1 Givens rotations of :func:`vpwave.filters.rotate` turn those
-into the coordinates over V_n (degrees below n) and W_n (degrees n..3n-1),
-which the inverse DCT and detail_synthesis take to the two node bases.
+into the coordinates over V_n (degrees below n) and W_n (degrees n..3n-1).
+detail_synthesis takes W_n's to the node basis.  A pyramid keeps V_n's for
+the next split and leaves them by one inverse DCT at the base; a merge
+chain mirrors it from one DCT of the base.
 """
 
 import json
@@ -21,7 +23,7 @@ import numpy as np
 from .bases import DetailCoeffs, ScalingCoeffs, detail_analysis, detail_synthesis
 from .chebyshev import dct, idct
 from .filters import VPLevel, rotate
-from .operators import discrete_proj
+from .operators import _discrete_coords
 
 
 class PyramidError(ValueError):
@@ -34,20 +36,36 @@ def decompose_step(fine: ScalingCoeffs) -> tuple[ScalingCoeffs, DetailCoeffs]:
     level3 = fine.level
     if level3.n % 3 != 0:
         raise ValueError(f"input length {level3.n} is not divisible by 3")
-    n, m = level3.n // 3, level3.m
-    if m >= n:
-        raise ValueError(f"m={m} too large to split down to n={n}")
-    level = VPLevel(n, m)
-    x = rotate(dct(fine.a), level)
-    return ScalingCoeffs(level, idct(x[:n])), DetailCoeffs(level, detail_synthesis(x[n:], level))
+    if level3.m >= level3.n // 3:
+        raise ValueError(f"m={level3.m} too large to split down to n={level3.n // 3}")
+    a, (b,) = _split_chain(dct(fine.a), level3.m, 1)
+    return a, b
 
 
 def reconstruct_step(a: ScalingCoeffs, b: DetailCoeffs) -> ScalingCoeffs:
     """Exact inverse of decompose_step."""
     if a.level != b.level:
         raise ValueError(f"level mismatch: scaling {a.level} vs detail {b.level}")
-    x = np.concatenate([dct(a.a), detail_analysis(b.b, b.level)])
-    return ScalingCoeffs(VPLevel(3 * a.level.n, a.level.m), idct(rotate(x, a.level, inverse=True)))
+    return _merge_chain(a, (b,))
+
+
+def _split_chain(x: np.ndarray, m: int, levels: int) -> tuple:
+    """``levels`` splits of V's orthonormal coordinates x at level (len(x), m),
+    turned in place: the base scaling coefficients and the details, coarsest first."""
+    details = []
+    for _ in range(levels):
+        level = VPLevel(len(x) // 3, m)
+        details.append(DetailCoeffs(level, detail_synthesis(rotate(x, level)[level.n:], level)))
+        x = x[:level.n]
+    return ScalingCoeffs(VPLevel(len(x), m), idct(x)), tuple(details[::-1])
+
+
+def _merge_chain(a: ScalingCoeffs, details: tuple) -> ScalingCoeffs:
+    """Inverse of _split_chain from the base ``a`` up through the details."""
+    x = dct(a.a)
+    for b in details:
+        x = rotate(np.concatenate([x, detail_analysis(b.b, b.level)]), b.level, inverse=True)
+    return ScalingCoeffs(VPLevel(a.level.n * 3 ** len(details), a.level.m), idct(x))
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +126,8 @@ def pyramid_m(n0: int, theta: float) -> int:
 def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecomposition:
     """Project samples taken on the Chebyshev grid of size n0 * 3**levels and
     run ``levels`` one-step splits down to the base resolution."""
-    m = _chain_m(n0, levels, theta)
-    return _split_down(discrete_proj(samples, VPLevel(n0 * 3 ** levels, m)), levels, theta)
+    top = VPLevel(n0 * 3 ** levels, _chain_m(n0, levels, theta))
+    return MultiDecomposition(theta, *_split_chain(_discrete_coords(samples, top), top.m, levels))
 
 
 def _chain_m(n0: int, levels: int, theta: float) -> int:
@@ -125,30 +143,17 @@ def _chain_m(n0: int, levels: int, theta: float) -> int:
 def reconstruct_multi(decomp: MultiDecomposition) -> ScalingCoeffs:
     """Top-level scaling coefficients; exact inverse of the pyramid stage of
     decompose_multi (not of the initial sampling projection)."""
-    a = decomp.base
-    for b in decomp.details:
-        a = reconstruct_step(a, b)
-    return a
+    return _merge_chain(decomp.base, decomp.details) if decomp.details else decomp.base
 
 
 def redecompose(top: ScalingCoeffs, decomp: MultiDecomposition) -> MultiDecomposition:
     """Run the pyramid stage on existing top-level coefficients, mirroring the
-    level chain of ``decomp``."""
+    level chain of ``decomp`` (with no level to split, top is the base)."""
     if top.level.n != decomp.top_n:
         raise PyramidError(
             f"top coefficients at n={top.level.n}, pyramid expects {decomp.top_n}")
-    return _split_down(top, decomp.levels, decomp.theta)
-
-
-def _split_down(top: ScalingCoeffs, levels: int, theta: float) -> MultiDecomposition:
-    """The pyramid stage: ``levels`` one-step splits starting from ``top``."""
-    a = top
-    details: list[DetailCoeffs] = []
-    for _ in range(levels):
-        a, b = decompose_step(a)
-        details.append(b)
-    details.reverse()
-    return MultiDecomposition(theta, a, tuple(details))
+    parts = _split_chain(dct(top.a), top.level.m, decomp.levels) if decomp.levels else (top, ())
+    return MultiDecomposition(decomp.theta, *parts)
 
 
 # ---------------------------------------------------------------------------

@@ -84,13 +84,16 @@ def fourier_proj(f: Callable, level: VPLevel) -> ScalingCoeffs:
 
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
-    """Discrete projection built from samples on the level-n Chebyshev grid:
-    fourier_proj with the n-point rule.  On that grid p_n vanishes and
-    p_{n+j} = -p_{n-j}, so each ramp pair enters the rotation as (g, -g) and
-    leaves it as g/nu_j: the ramp of the DCT is divided by nu, where the
-    interpolant (values_to_ortho) multiplies it by nu."""
+    """Discrete projection: fourier_proj with the n-point rule on the level-n grid."""
+    return ScalingCoeffs(level, idct(_discrete_coords(samples, level)))
+
+
+def _discrete_coords(samples, level: VPLevel) -> np.ndarray:
+    """V's orthonormal coordinates of discrete_proj.  On the node grid p_n = 0 and
+    p_{n+j} = -p_{n-j}: each ramp pair enters the rotation as (g, -g) and leaves
+    as g/nu_j, so the DCT's ramp is divided by nu (values_to_ortho multiplies)."""
     g = np.sqrt(np.pi / level.n) * dct(_vector(samples, level.n, "samples"))
-    return ScalingCoeffs(level, idct(scale_norms(g, level, inverse=True)))
+    return scale_norms(g, level, inverse=True)
 
 
 def vp_interp(samples, level: VPLevel) -> np.ndarray:
@@ -208,9 +211,9 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
 def discrete_norm(samples, p: float) -> float:
     """Weighted p-norm on the node grid: ((pi/n) sum |f(x_k)|^p)^(1/p), or the
     max for p = inf."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
+    if np.ndim(samples) != 1 or np.size(samples) == 0:
         raise ValueError("expected a nonempty 1-d sample sequence")
+    samples = _vector(samples, np.size(samples), "samples")
     if p == np.inf:
         return float(np.max(np.abs(samples)))
     if not p >= 1:

@@ -6,7 +6,8 @@ basis columns and their norms are spelled out entry by entry, so every
 fast-versus-dense check compares two different code paths.  Levels are
 passed as any object with integer attributes ``n`` and ``m``.
 
-The high-precision oracles (``series_mp``, ``lambda_mp``) work in ``mpmath``.
+The high-precision oracles (``series_mp``, ``lambda_mp``) work in ``mpmath``,
+and ``pyramid_ld`` in long double.
 
 Notation: p_r is the orthonormal Chebyshev polynomial of degree r, mu the
 ramp of level (n, m), q_r (0 <= r < n) the modified Chebyshev basis of V and
@@ -17,6 +18,7 @@ import math
 
 import mpmath
 import numpy as np
+import scipy.fft
 
 
 def cheb_zeros(n: int) -> np.ndarray:
@@ -266,3 +268,58 @@ def lambda_mp(level, x: float, dps: int = 30) -> float:
                                         solver="anderson"))
         ends.append(mpmath.pi)
         return float(mpmath.fsum(abs(anti(u) - anti(v)) for u, v in zip(ends, ends[1:])))
+
+
+def _cosine_ld(v, inverse: bool = False) -> np.ndarray:
+    """Orthonormal DCT-II (DCT-III if ``inverse``) in long double: round trips
+    to about 1e-18 where the float64 transforms stay near 1e-16."""
+    v = np.asarray(v, dtype=np.longdouble)
+    return (scipy.fft.idct if inverse else scipy.fft.dct)(v, type=2, norm="ortho")
+
+
+def pyramid_ld(values, n0: int, levels: int, m: int, samples: bool = True):
+    """Long-double reference of the pyramid stage: (base, details coarsest
+    first) as long-double arrays.
+
+    ``values`` are samples on the n0 3^levels grid (decompose_multi), or the
+    top-level scaling coefficients (redecompose) if not ``samples``.  Over V
+    at level (n, m) the orthonormal coordinates are the DCT of the scaling
+    coefficients.  Samples give the quadrature inner products
+    g_r = sqrt(pi/N) dct(values)_r, extended past degree N by the grid alias
+    p_{N+j} = -p_{N-j} (and p_N = 0).  A split at (n, m) reads coordinate
+    n-j of V and n+j of W, 0 < j < m, as the inner products with
+    q_{n-j}/nu_j = (mu_{n-j} p_{n-j} - mu_{n+j} p_{n+j})/nu_j and
+    q~_{n+j}/nu_j = (mu_{n+j} p_{n-j} + mu_{n-j} p_{n+j})/nu_j, where
+    mu_{n-+j} = (m +- j)/(2m) and nu_j^2 = (m^2 + j^2)/(2m^2), and maps W's
+    coordinates on degrees n..3n-1 to the complement nodes by the rows of
+    detail_transform.
+    """
+    ld = np.longdouble
+    j = np.arange(1, m)
+    lo, hi = (m + j.astype(ld)) / (2 * m), (m - j.astype(ld)) / (2 * m)
+    nu = np.sqrt((m * m + j.astype(ld) ** 2) / (2 * m * m))
+
+    def to_v(x, n):  # coordinates n-j over V's q_{n-j}/nu_j and n+j over W's q~_{n+j}/nu_j
+        down, up = x[n - j], x[n + j]
+        x[n - j], x[n + j] = (lo * down - hi * up) / nu, (hi * down + lo * up) / nu
+        return x
+
+    size = n0 * 3 ** levels
+    x = _cosine_ld(values)
+    if samples:
+        x = np.concatenate([x * np.sqrt(4 * np.arctan(ld(1)) / size), np.zeros(m, dtype=ld)])
+        x[size + j] = -x[size - j]
+        x = to_v(x, size)[:size]
+    details = []
+    for n in (size // 3 ** i for i in range(1, levels + 1)):
+        to_v(x, n)
+        s, c = x[n:3 * n], np.zeros(3 * n, dtype=ld)
+        c[n] = s[0]
+        c[n + 1:2 * n] = s[1:n] / np.sqrt(ld(2))
+        c[n - 1:0:-1] = s[1:n] / np.sqrt(ld(2))
+        c[2 * n] = s[n] / np.sqrt(ld(3))
+        c[0] = s[n] * np.sqrt(ld(2) / 3)
+        c[2 * n + 1:] = s[n + 1:] * np.sqrt(ld(3) / 2)
+        details.append(_cosine_ld(c, inverse=True)[np.arange(3 * n) % 3 != 1])
+        x = x[:n]
+    return _cosine_ld(x, inverse=True), details[::-1]

@@ -14,6 +14,7 @@ from vpwave.chebyshev import (
     cheb_nodes,
     dct,
     eval_p,
+    eval_p_table,
     eval_series,
     idct,
     probe_grid,
@@ -91,6 +92,19 @@ def test_eval_p_domain_errors():
 def test_eval_p_degree_must_be_an_integer(degree):
     with pytest.raises(ValueError, match="integer"):
         eval_p(degree, 0.3)
+
+
+@pytest.mark.parametrize("degrees", [[2.5], [2.0], [-1], [True], [0, 3, -2]])
+def test_eval_p_table_refuses_what_eval_p_refuses(degrees):
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        eval_p_table(degrees, 0.3)
+
+
+def test_eval_p_table_takes_integer_degrees_of_any_width():
+    expected = eval_p_table(np.arange(3), [0.3, -0.7])
+    for degrees in ([0, 1, 2], np.arange(3, dtype=np.uint8), np.arange(3, dtype=np.int32)):
+        assert np.array_equal(eval_p_table(degrees, [0.3, -0.7]), expected)
+    assert eval_p_table([], 0.3).shape == (0, 1)
 
 
 @pytest.mark.parametrize("n", [8, 13])

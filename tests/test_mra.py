@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import analysis_matrices, detail_transform, scaling_transform
+from oracles import analysis_matrices, detail_transform, pyramid_ld, scaling_transform
 from util import max_dev, pyramid_json_oracle, split_matrices
 
 from vpwave.bases import (
@@ -30,6 +30,7 @@ from vpwave.mra import (
     threshold_hard,
     threshold_keep_top,
 )
+from vpwave.operators import discrete_proj
 
 L136 = VPLevel(13, 6)
 
@@ -187,7 +188,6 @@ def test_decompose_of_polynomial_band_yields_zero_details():
     r = 7
     lvl_top = VPLevel(39, 6)
     from vpwave.chebyshev import eval_p
-    from vpwave.operators import discrete_proj
 
     samples = eval_p(r, cheb_nodes(39))
     a, b = decompose_step(discrete_proj(samples, lvl_top))
@@ -292,6 +292,27 @@ def test_level_zero_pyramid():
     assert decomp.details == ()
     top = reconstruct_multi(decomp)
     assert max_dev(top.a, decomp.base.a) == 0.0
+    # no split: the base is discrete_proj bit for bit, and redecompose keeps it too
+    assert decomp.base.a.tobytes() == discrete_proj(samples, VPLevel(10, 5)).a.tobytes()
+    assert redecompose(top, decomp).base.a.tobytes() == top.a.tobytes()
+
+
+@pytest.mark.parametrize("n0, levels, theta", [(5, 3, 0.5), (81, 4, 0.5), (64, 3, 0.7),
+                                               (81, 6, 0.5)])
+def test_pyramid_within_roundoff_of_the_long_double_oracle(n0, levels, theta):
+    # the chain stays in V's coordinates between levels, so its only float64
+    # roundoff is one transform in, one rotation and detail map per level, one out
+    size = n0 * 3 ** levels
+    for samples in (np.random.default_rng(size).standard_normal(size),
+                    get_function("sin6sign")(cheb_nodes(size))):
+        decomp = decompose_multi(samples, n0, levels, theta)
+        top = reconstruct_multi(decomp)
+        for got, values, from_samples in ((decomp, samples, True),
+                                          (redecompose(top, decomp), top.a, False)):
+            base, details = pyramid_ld(values, n0, levels, decomp.base.level.m, from_samples)
+            assert max_dev(got.base.a, base) <= 1e-15
+            for d, b in zip(got.details, details, strict=True):
+                assert max_dev(d.b, b) <= 1e-15
 
 
 def test_threshold_identities():

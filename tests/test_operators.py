@@ -348,6 +348,17 @@ def test_discrete_norm_values():
             discrete_norm(ones, p)
 
 
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_discrete_norm_refuses_non_finite_and_malformed_samples(p):
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [10**400, 1.0]):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            discrete_norm(bad, p)
+    for bad in ([], [[1.0, 2.0]], 3.0):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            discrete_norm(bad, p)
+    assert discrete_norm((1, -2), p) == discrete_norm(np.array([1.0, -2.0]), p)
+
+
 def test_discrete_norm_comparable_with_quadrature_l1():
     rng = np.random.default_rng(10)
     for _ in range(20):

@@ -1,5 +1,6 @@
 """Property tests of the ramp rotation and the one-step split and merge over
-random levels (n, m), of the pyramid level chain against its JSON round
+random levels (n, m), of random pyramids against their inverse and the
+chained one-step splits, of the pyramid level chain against its JSON round
 trip, of the JSON writer against the indenting encoder, and of the keep-top
 selection against a stable sort."""
 
@@ -18,13 +19,17 @@ from vpwave.mra import (
     MultiDecomposition,
     PyramidError,
     _rebuild,
+    decompose_multi,
     decompose_step,
     pyramid_from_json,
     pyramid_m,
     pyramid_to_json,
+    reconstruct_multi,
     reconstruct_step,
+    redecompose,
     threshold_keep_top,
 )
+from vpwave.operators import discrete_proj
 
 
 @st.composite
@@ -70,6 +75,40 @@ def test_rotation_is_orthogonal_and_moves_only_the_pairs(level, stack, extra, se
     energy = (x * x).sum(axis=-1)
     assert np.all(np.abs((y * y).sum(axis=-1) - energy) <= 1e-14 * energy)
     assert max_dev(rotate(y, level, inverse=True), x) <= 1e-15 * np.abs(x).max()
+
+
+# the pyramid keeps V's coordinates between levels; it must still invert, split
+# the energy and agree with chaining the public one-step split, which passes
+# through node coefficients at every level; the examples pin m = 1 and L = 0
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n0=st.integers(2, 30), levels=st.integers(0, 4),
+       theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(n0=3, levels=4, theta=0.5, seed=0)
+@example(n0=30, levels=0, theta=0.9, seed=1)
+def test_pyramid_round_trip_energy_and_chained_steps(n0, levels, theta, seed):
+    try:
+        m = pyramid_m(n0, theta)
+    except ValueError:
+        return
+    samples = np.random.default_rng(seed).standard_normal(n0 * 3 ** levels)
+    decomp = decompose_multi(samples, n0, levels, theta)
+    top = reconstruct_multi(decomp)
+    again = redecompose(top, decomp)
+    assert max_dev(again.base.a, decomp.base.a) <= 1e-10
+    for d, e in zip(decomp.details, again.details, strict=True):
+        assert max_dev(e.b, d.b) <= 1e-10
+    energy = float(top.a @ top.a)
+    parts = float(decomp.base.a @ decomp.base.a) + sum(float(d.b @ d.b) for d in decomp.details)
+    assert abs(parts - energy) <= 1e-12 * energy
+    a, chained = discrete_proj(samples, VPLevel(top.level.n, m)), []
+    for _ in range(levels):
+        a, b = decompose_step(a)
+        chained.append(b)
+    tol = 1e-14 * np.abs(samples).max()
+    assert max_dev(a.a, decomp.base.a) <= tol
+    for d, b in zip(decomp.details, chained[::-1], strict=True):
+        assert b.level == d.level and max_dev(b.b, d.b) <= tol
 
 
 # every level gets the shared m = floor(theta * n0) (or 1 where theta gives
