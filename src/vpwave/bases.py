@@ -24,12 +24,11 @@ matrix is the matching map applied to an identity.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import dct, idct
+from .chebyshev import _is_integer, dct, idct
 from .filters import VPLevel, rotate, scale_norms
 
 SQRT2 = math.sqrt(2.0)
@@ -222,7 +221,7 @@ def _psi(u, level: VPLevel) -> np.ndarray:
 
 def _unit(index: int, first: int, count: int, what: str) -> np.ndarray:
     """Unit vector of length ``count`` for ``index`` in [first, first+count-1]."""
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+    if not _is_integer(index):
         raise ValueError(f"{what} must be an integer, got {index!r}")
     if not first <= index < first + count:
         raise ValueError(f"{what} {index} outside [{first}, {first + count - 1}]")

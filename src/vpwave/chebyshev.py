@@ -25,9 +25,14 @@ SQRT_1_PI = 1.0 / math.sqrt(math.pi)
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule of the package: a numbers.Integral that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_size(size) -> None:
-    """A grid size is a positive integer; a bool is not one."""
-    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+    """A grid size is a positive integer."""
+    if not _is_integer(size):
         raise ValueError(f"grid size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError(f"grid size must be positive, got {size}")
@@ -59,7 +64,7 @@ def _check_domain(x):
 
 def eval_p(r: int, x):
     """Orthonormal Chebyshev polynomial p_r at x (scalar or array), |x| <= 1."""
-    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 0:
+    if not _is_integer(r) or r < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {r!r}")
     x = _check_domain(x)
     scale = SQRT_1_PI if r == 0 else SQRT_2_PI

@@ -14,11 +14,12 @@ depends on m and j alone, so one set of m-1 angles serves every n.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .chebyshev import _is_integer
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ class VPLevel:
     m: int
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.n, self.m)):
+        if not (_is_integer(self.n) and _is_integer(self.m)):
             raise ValueError(f"level needs integers n and m, got (n={self.n!r}, m={self.m!r})")
         if not 0 < self.m < self.n:
             raise ValueError(f"level requires 0 < m < n, got (n={self.n}, m={self.m})")

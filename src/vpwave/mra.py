@@ -15,13 +15,12 @@ chain mirrors it from one DCT of the base.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import DetailCoeffs, ScalingCoeffs, detail_analysis, detail_synthesis
-from .chebyshev import dct, idct
+from .chebyshev import _is_integer, dct, idct
 from .filters import VPLevel, rotate
 from .operators import _discrete_coords
 
@@ -133,7 +132,7 @@ def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecompo
 def _chain_m(n0: int, levels: int, theta: float) -> int:
     """The shared m of a chain of ``levels`` splits based at n0, after the
     checks that must pass before n0 * 3**levels sizes anything."""
-    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+    if not _is_integer(levels):
         raise ValueError(f"level count must be an integer, got {levels!r}")
     if levels < 0:
         raise ValueError(f"level count must be nonnegative, got {levels}")
@@ -152,6 +151,8 @@ def redecompose(top: ScalingCoeffs, decomp: MultiDecomposition) -> MultiDecompos
     if top.level.n != decomp.top_n:
         raise PyramidError(
             f"top coefficients at n={top.level.n}, pyramid expects {decomp.top_n}")
+    if top.level.m != decomp.base.level.m:
+        raise PyramidError(f"top level {top.level} and base level {decomp.base.level} differ in m")
     parts = _split_chain(dct(top.a), top.level.m, decomp.levels) if decomp.levels else (top, ())
     return MultiDecomposition(decomp.theta, *parts)
 

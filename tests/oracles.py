@@ -205,6 +205,25 @@ def analysis_matrices(level) -> tuple[np.ndarray, np.ndarray]:
     return scaling_transform(level).T @ g, detail_transform(level).T @ h
 
 
+def lebesgue_tables(level, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node-sum and interpolant Lebesgue functions of ``level`` on the probe grid
+    cos(j pi / M), j = 0..M, as the pair (lambda-tilde, lambda-bar).
+
+    The q_r are orthogonal with squared norms nu_r, so V's reproducing kernel is
+    K(x, y) = sum_r q_r(x) q_r(y) / nu_r and lambda-tilde is (pi/n) sum_i |K(x_i, x)|.
+    The interpolating scaling function phi_k = sum_r C_rk q_r has phi_k(x_i) =
+    delta_ik, so C is the inverse transpose of the node table of the q_r, and
+    lambda-bar is sum_k |phi_k(x)|.
+    """
+    n, m = level.n, level.m
+    q = approx_scatter(level).T
+    at_nodes = q @ cheb_table(np.arange(n + m), n)
+    at_probe = q @ probe_table(np.arange(n + m), grid_size)
+    kernel = at_nodes.T @ (at_probe / approx_norms_sq(level)[:, None])
+    phi = np.linalg.solve(at_nodes, at_probe)
+    return (np.pi / n) * np.abs(kernel).sum(axis=0), np.abs(phi).sum(axis=0)
+
+
 def fourier_proj(f, level, n_quad: int) -> np.ndarray:
     """Orthonormal coefficients (pi/N) sum_j phi_k(x_j) f(x_j) of the projection
     onto V, with every scaling function phi_k tabulated on the N-point grid."""

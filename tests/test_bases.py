@@ -130,6 +130,17 @@ def test_interp_scaling_deltas():
     assert max_dev(vals, np.eye(13)) < 1e-12
 
 
+@pytest.mark.parametrize("level", [L136, VPLevel(40, 20), VPLevel(41, 20), VPLevel(2, 1)],
+                         ids=str)
+def test_interp_scaling_mirror(level):
+    # x_{n+1-k} = -x_k and p_r(-x) = (-1)^r p_r(x): function n+1-k is function k at -x,
+    # which lebesgue_const's lambda-bar and lambda-tilde rows rely on
+    n = level.n
+    sign = (-1.0) ** np.arange(n + level.m)
+    for k in range(1, n + 1):
+        assert max_dev(scaling_interp(level, n + 1 - k), sign * scaling_interp(level, k)) < 1e-14
+
+
 def test_interp_scaling_partition_of_unity():
     rng = np.random.default_rng(2)
     xs = rng.uniform(-1, 1, 100)

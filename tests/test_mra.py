@@ -273,6 +273,16 @@ def test_multi_roundtrip_three_sizes():
             assert max_dev(d.b, e.b) < 1e-10
 
 
+@pytest.mark.parametrize("m", [3, 14])
+def test_redecompose_refuses_a_top_with_another_m(m):
+    # the pyramid's chain is (5, 2) -> (15, 2) -> (45, 2); a top at (45, m) is
+    # refused before any split, whether or not (5, m) would be a level at all
+    decomp = decompose_multi(np.sin(cheb_nodes(45)), 5, 2, 0.5)
+    top = ScalingCoeffs(VPLevel(45, m), np.ones(45))
+    with pytest.raises(PyramidError, match=r"top level .*\(n=45, m=%d\).*\(n=5, m=2\)" % m):
+        redecompose(top, decomp)
+
+
 def test_zeroed_details_reproduce_base_at_top_level():
     rng = np.random.default_rng(11)
     decomp = decompose_multi(rng.standard_normal(45), 5, 2, 0.5)

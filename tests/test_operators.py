@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import fourier_proj as dense_fourier_proj
-from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp
+from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp, lebesgue_tables
 from util import max_dev, scaling_ortho_matrix
 
 from vpwave.bases import (
@@ -287,6 +287,17 @@ def test_lebesgue_fn_reaches_the_constant_on_the_probe_grid(level, kind):
     # constant from the basis rows and one DCT-I
     got = lebesgue_fn(level, kind, probe_grid(2000)).max()
     assert got == pytest.approx(lebesgue_const(level, kind, 2000).value, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("grid_size", [1000, 1001])
+@pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(3, 1), VPLevel(5, 1), L136, L4020,
+                                   VPLevel(41, 20)], ids=str)
+def test_lebesgue_const_matches_the_dense_node_sum_and_interpolant(level, grid_size):
+    # even and odd n: the constant sums mirrored row pairs, plus the middle row if n is odd
+    tilde, bar = lebesgue_tables(level, grid_size)
+    for kind, vals in ((LebesgueKind.LAMBDA_TILDE, tilde), (LebesgueKind.LAMBDA_BAR, bar)):
+        got = lebesgue_const(level, kind, grid_size).value
+        assert got == pytest.approx(vals.max(), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("x", [np.nan, np.array([0.5, np.nan])], ids=["scalar", "array"])
