@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,7 @@ from vpwave.chebyshev import (
     probe_grid,
     sup_error,
 )
+from vpwave import operators
 from vpwave.filters import VPLevel
 from vpwave.mra import decompose_multi
 from vpwave.operators import (
@@ -246,12 +249,64 @@ def test_lebesgue_integral_matches_mpmath(n, m):
 
 def test_lebesgue_integral_resolves_close_root_pairs():
     # at these probe points kernel(x, cos t) has two roots 0.28 and 0.86 of a
-    # bracketing interval apart, which no sign change on the grid shows
+    # bracketing interval apart, which no sign change on the grid shows; at row 103 the
+    # parabola through the three samples around the pair stays above zero, and only its
+    # interpolation error bound keeps the candidate (1.2e-7 off without it)
     level = VPLevel(10, 9)
-    xs = probe_grid(2000)[[770, 85]]
+    xs = probe_grid(2000)[[770, 85, 103]]
     expected = np.array([lambda_mp(level, x) for x in xs])
     assert_allclose(lebesgue_fn(level, LebesgueKind.LAMBDA, xs), expected,
                     rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n,m,row", [(30, 27, 700), (41, 20, 951), (27, 13, 301),
+                                     (34, 14, 484), (41, 35, 960)])
+def test_lebesgue_integral_resolves_a_pair_straddling_a_sample(n, m, row):
+    # a root pair sits on both sides of one angle sample.  Started at the secant points of
+    # their brackets, the roots stick at the brackets' ends; from the midpoints, Newton
+    # halves its distance per step while the pair is close (0.023 brackets apart at
+    # (27, 13), where 8 steps are not enough), or starts next to the extremum between the
+    # roots (4.5e-6 off at (34, 14)) unless the pair is split there
+    level = VPLevel(n, m)
+    x = probe_grid(2000)[row]
+    assert lebesgue_fn(level, LebesgueKind.LAMBDA, x) == pytest.approx(
+        lambda_mp(level, x), rel=1e-13, abs=0)
+
+
+def test_lebesgue_integral_bisects_a_step_stuck_at_its_bracket():
+    # two roots one sample apart put the kernel's extremum at a bracket's midpoint:
+    # Newton's first step leaves the bracket, and clipped to it stays at its end
+    # (2.3e-6 off when the step was only clipped)
+    level = VPLevel(33, 19)
+    x = probe_grid(2000)[773]
+    assert lebesgue_fn(level, LebesgueKind.LAMBDA, x) == pytest.approx(
+        lambda_mp(level, x), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n,m,row", [(13, 1, 80), (13, 1, 160), (13, 1, 320), (13, 1, 1840),
+                                     (13, 3, 175), (3, 1, 800), (19, 2, 443)])
+def test_lebesgue_integral_at_roots_next_to_an_end(n, m, row):
+    # the kernel is even about t = 0 and t = pi, so a root a fraction of a bracket from an
+    # end has a mirror image just outside [0, pi] and Newton in t only converges linearly;
+    # at (19, 2) row 443 the root is 0.014 brackets from t = 0, the first step overshoots
+    # the end, and the bracket is bisected
+    level = VPLevel(n, m)
+    x = probe_grid(2000)[row]
+    assert lebesgue_fn(level, LebesgueKind.LAMBDA, x) == pytest.approx(
+        lambda_mp(level, x), rel=1e-13, abs=0)
+
+
+def test_lebesgue_integral_says_when_roots_miss_their_rule(monkeypatch):
+    # kernel sums that never settle leave every root short of its stopping rule
+    rng = np.random.default_rng(10)
+    sums = operators._cosine_sums
+    monkeypatch.setattr(operators, "_cosine_sums",
+                        lambda c, r, t: sums(c, r, t) + 1e-6 * rng.standard_normal(t.shape))
+    with pytest.warns(RuntimeWarning, match=r"\d+ kernel roots unconverged after 8 Newton"):
+        lebesgue_fn(L136, LebesgueKind.LAMBDA, 0.3)
+    with pytest.warns(RuntimeWarning, match="unconverged"):
+        spec = lebesgue_const(L136, LebesgueKind.LAMBDA, 1000).quad_spec
+    assert re.search(r"; [1-9]\d* roots unconverged$", spec)
 
 
 def test_lebesgue_interp_is_one_at_nodes():
@@ -321,6 +376,19 @@ def test_lebesgue_const_reports():
         assert rep.quad_spec
     with pytest.raises(ValueError):
         lebesgue_const(L136, LebesgueKind.LAMBDA_BAR, grid_size=999)
+    spec = lebesgue_const(L136, LebesgueKind.LAMBDA, 1000).quad_spec
+    assert spec.endswith("K^2/|K'| <= 2^-53 or roundoff, at most 8 steps")
+
+
+@pytest.mark.parametrize("grid_size,message", [(True, "must be an integer, got True"),
+                                               (999.5, "must be an integer, got 999.5"),
+                                               (2000.0, "must be an integer, got 2000.0"),
+                                               (0, "must be positive, got 0"),
+                                               (999, "must be at least 1000, got 999")])
+def test_lebesgue_const_checks_the_grid_size_is_an_integer_first(grid_size, message):
+    for kind in LebesgueKind:
+        with pytest.raises(ValueError, match=f"^grid size {re.escape(message)}$"):
+            lebesgue_const(L136, kind, grid_size)
 
 
 def test_kinds_accept_their_string_values():
