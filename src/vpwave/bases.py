@@ -16,9 +16,10 @@ turns.  So V is reached through one coordinate map, _to_v (p-coefficients to
 the coordinates over the orthonormal q_r/nu_r) with its transpose _from_v,
 and W through one expansion, _from_w, of its coordinates at degrees n..3n-1.
 The Chebyshev expansion of orthonormal coefficients is _from_v of their DCT
-(_from_w of detail_analysis for W).  Only the unnormalized q_r and q~_r and
-interpolation add filters.scale_norms for the norms nu_j, which also scale
-the coefficient transforms (node-indexed <-> degree-indexed).
+(_from_w of detail_analysis for W).  Node values reach V through one map,
+_node_coords, sqrt(pi/n) times their DCT with the ramp multiplied by the norms
+nu_j (interpolant) or divided by them (discrete projection); it, the q_r, the
+q~_r and the coefficient transforms are all that add filters.scale_norms.
 Every basis element is exported as its array of p-coefficients, and a basis
 matrix is the matching map applied to an identity.
 """
@@ -129,6 +130,13 @@ def scaling_synthesis(t, level: VPLevel) -> np.ndarray:
     return idct(scale_norms(_as_length(t, level.n).copy(), level, inverse=True))
 
 
+def _node_coords(u, level: VPLevel, interp: bool) -> np.ndarray:
+    """V's orthonormal coordinates of the interpolant (``interp``) or discrete projection
+    of node values u.  At the nodes q_r/nu_r is p_r with the ramp divided by nu, so the
+    projection divides the ramp of sqrt(pi/n) dct(u) by nu and the interpolant multiplies."""
+    return scale_norms(math.sqrt(math.pi / level.n) * dct(u), level, inverse=not interp)
+
+
 def _complement_scatter(u, n: int) -> np.ndarray:
     """Values on the 2n complement nodes placed on the 3n-point grid (zero at
     the n coarse nodes, positions 3k-1 in 1-based numbering)."""
@@ -195,17 +203,6 @@ def detail_synthesis(s, level: VPLevel) -> np.ndarray:
 # expansions of the six basis families
 # ---------------------------------------------------------------------------
 
-def _phi(u, level: VPLevel) -> np.ndarray:
-    """p-coefficients of sum_k u_k phi_k, phi_k = (pi/n) sum_r mu_r p_r(x_k) q_r."""
-    return math.sqrt(math.pi / level.n) * _from_v(scale_norms(dct(u), level), level)
-
-
-def _phi_ortho(a, level: VPLevel) -> np.ndarray:
-    """p-coefficients of sum_k a_k (orthonormal scaling function k): its DCT
-    holds the coordinates over the orthonormal q_r/nu_r."""
-    return _from_v(dct(a), level)
-
-
 def _psi(u, level: VPLevel) -> np.ndarray:
     """p-coefficients of sum_k u_k psi_k over the interpolating wavelets.
 
@@ -242,12 +239,12 @@ def detail_basis(level: VPLevel, r: int) -> np.ndarray:
 
 def scaling_interp(level: VPLevel, k: int) -> np.ndarray:
     """k-th interpolating scaling function (Kronecker delta on the node grid)."""
-    return _phi(_unit(k, 1, level.n, "scaling index"), level)
+    return _from_v(_node_coords(_unit(k, 1, level.n, "scaling index"), level, True), level)
 
 
 def scaling_ortho(level: VPLevel, k: int) -> np.ndarray:
     """k-th orthonormal scaling function (localized near node k, not interpolating)."""
-    return _phi_ortho(_unit(k, 1, level.n, "scaling index"), level)
+    return scaling_to_cheb(ScalingCoeffs(level, _unit(k, 1, level.n, "scaling index")))
 
 
 def wavelet_interp(level: VPLevel, k: int) -> np.ndarray:
@@ -266,7 +263,7 @@ def wavelet_ortho(level: VPLevel, k: int) -> np.ndarray:
 
 def scaling_to_cheb(c: ScalingCoeffs) -> np.ndarray:
     """p-coefficients of sum_k a_k (orthonormal scaling function k)."""
-    return _phi_ortho(c.a, c.level)
+    return _from_v(dct(c.a), c.level)
 
 
 def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
@@ -278,8 +275,8 @@ def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:
     """Orthonormal coefficients of the unique element of V that interpolates
     ``samples`` on the level-n Chebyshev grid (node order)."""
-    t = scale_norms(dct(_vector(samples, level.n, "samples")), level)
-    return ScalingCoeffs(level, np.sqrt(np.pi / level.n) * idct(t))
+    return ScalingCoeffs(level, idct(_node_coords(_vector(samples, level.n, "samples"),
+                                                  level, True)))
 
 
 def ortho_to_values(c: ScalingCoeffs) -> np.ndarray:

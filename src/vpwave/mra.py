@@ -8,9 +8,9 @@ Both directions run in O(n log n).  The DCT of the fine coefficients gives
 their coordinates over the orthonormal modified Chebyshev basis of level
 3n; the m-1 Givens rotations of :func:`vpwave.filters.rotate` turn those
 into the coordinates over V_n (degrees below n) and W_n (degrees n..3n-1).
-detail_synthesis takes W_n's to the node basis.  A pyramid keeps V_n's for
-the next split and leaves them by one inverse DCT at the base; a merge
-chain mirrors it from one DCT of the base.
+detail_synthesis takes W_n's to the node basis.  A pyramid enters V at the
+top by bases._node_coords, keeps V_n's for the next split and leaves them by
+one inverse DCT at the base; a merge chain mirrors it from one DCT of the base.
 """
 
 import json
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import DetailCoeffs, ScalingCoeffs, detail_analysis, detail_synthesis
+from .bases import (DetailCoeffs, ScalingCoeffs, _node_coords, _vector, detail_analysis,
+                    detail_synthesis)
 from .chebyshev import _is_integer, dct, idct
 from .filters import VPLevel, rotate
-from .operators import _discrete_coords
 
 
 class PyramidError(ValueError):
@@ -126,7 +126,8 @@ def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecompo
     """Project samples taken on the Chebyshev grid of size n0 * 3**levels and
     run ``levels`` one-step splits down to the base resolution."""
     top = VPLevel(n0 * 3 ** levels, _chain_m(n0, levels, theta))
-    return MultiDecomposition(theta, *_split_chain(_discrete_coords(samples, top), top.m, levels))
+    x = _node_coords(_vector(samples, top.n, "samples"), top, False)
+    return MultiDecomposition(theta, *_split_chain(x, top.m, levels))
 
 
 def _chain_m(n0: int, levels: int, theta: float) -> int:
@@ -233,7 +234,7 @@ def pyramid_to_json(decomp: MultiDecomposition) -> str:
 
 
 def pyramid_from_json(text: str) -> MultiDecomposition:
-    """Parse a pyramid document, validating types, finiteness and the level chain."""
+    """Parse a pyramid document, validating types, finiteness, nesting and the level chain."""
     try:
         doc = json.loads(text)
         theta = _json_number(doc["theta"])
@@ -245,7 +246,7 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
         details = [DetailCoeffs(VPLevel(_json_int(e["n"]), _json_int(e["m"])),
                                 _json_numbers(e["b"])) for e in entries]
         return MultiDecomposition(theta, base, tuple(details))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PyramidError(f"bad pyramid document: {exc}") from exc
 
 

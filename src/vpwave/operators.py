@@ -7,13 +7,14 @@ of V:
                    grid (reproduces the samples exactly),
 * fourier_proj  -- the orthogonal projection onto V, with the inner products
                    approximated by Gauss-Chebyshev quadrature,
-* discrete_proj -- fourier_proj with the n-point rule on the node grid, where
-                   it divides the ramp of the DCT by nu (vp_interp multiplies).
+* discrete_proj -- fourier_proj with the n-point rule on the node grid: the
+                   node map of vp_interp (bases._node_coords) with the ramp
+                   of the DCT divided by nu instead of multiplied.
 
-Alongside them: the reproducing kernel of the projection, the associated
-Lebesgue functions/constants (integral, node-sum and interpolatory
-variants), weighted discrete p-norms on the node grid, and sup-norm error
-sweeps over resolution levels.
+Alongside them: the reproducing kernel of the projection, the Lebesgue
+functions/constants (integral, and the node map of the node deltas for the
+node-sum and interpolatory ones), weighted discrete p-norms on the node
+grid, and sup-norm error sweeps over resolution levels.
 """
 
 import enum
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .bases import ScalingCoeffs, _from_v, _phi, _to_v, _vector, scaling_to_cheb
+from .bases import ScalingCoeffs, _from_v, _node_coords, _to_v, _vector, scaling_to_cheb
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
@@ -86,21 +87,14 @@ def fourier_proj(f: Callable, level: VPLevel) -> ScalingCoeffs:
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
     """Discrete projection: fourier_proj with the n-point rule on the level-n grid."""
-    return ScalingCoeffs(level, idct(_discrete_coords(samples, level)))
-
-
-def _discrete_coords(samples, level: VPLevel) -> np.ndarray:
-    """V's orthonormal coordinates of discrete_proj.  On the node grid p_n = 0 and
-    p_{n+j} = -p_{n-j}: each ramp pair enters the rotation as (g, -g) and leaves
-    as g/nu_j, so the DCT's ramp is divided by nu (values_to_ortho multiplies)."""
-    g = np.sqrt(np.pi / level.n) * dct(_vector(samples, level.n, "samples"))
-    return scale_norms(g, level, inverse=True)
+    return ScalingCoeffs(level, idct(_node_coords(_vector(samples, level.n, "samples"),
+                                                  level, False)))
 
 
 def vp_interp(samples, level: VPLevel) -> np.ndarray:
     """Interpolating mean of the samples: the element of V matching them on
     the node grid, as its p-coefficients of degrees 0..n+m-1."""
-    return _phi(_vector(samples, level.n, "samples"), level)
+    return _from_v(_node_coords(_vector(samples, level.n, "samples"), level, True), level)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +217,10 @@ def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndar
 
 def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
     """Lebesgue function of the chosen operator at x, in the shape of x (a
-    float for a scalar).  For lambda-tilde and lambda-bar, c is V's
-    orthonormal coordinates of the p_r(x); at the nodes V's orthonormal basis
-    is p_r with its ramp degrees divided by nu, so (pi/n) kernel(x_k, x) =
-    sqrt(pi/n) idct(c/nu)_k and scaling function k is sqrt(pi/n) idct(c nu)_k."""
+    float for a scalar).  lambda-tilde and lambda-bar take the transpose of the
+    node map bases._node_coords at each point: with c V's orthonormal
+    coordinates of the p_r(x), (pi/n) kernel(x_k, x) = sqrt(pi/n) idct(c/nu)_k
+    and scaling function k is sqrt(pi/n) idct(c nu)_k at x."""
     kind = LebesgueKind(kind)
     xs = np.asarray(x, dtype=float).ravel()
     if kind is LebesgueKind.LAMBDA:
@@ -254,13 +248,11 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                 "K^2/|K'| <= 2^-53 or roundoff, at most 8 steps"
                 + (f"; {missed} roots unconverged" if missed else ""))
     else:  # basis rows, one DCT-I each: lebesgue_fn is 4-9x slower at M = 10^4, n = 20..170
-        # row i of lambda-tilde is (pi/n) kernel(x_i, .), the discrete projection of node i's
-        # delta; row k of lambda-bar is interpolating scaling function k.  As x_{n+1-k} = -x_k
-        # and p_r(-x) = (-1)^r p_r(x), row n-1-i on the probe grid is row i read backwards
+        # row i is node i's delta through the node map: (pi/n) kernel(x_i, .) for lambda-tilde,
+        # interpolating scaling function i for lambda-bar.  As x_{n+1-k} = -x_k and p_r(-x) =
+        # (-1)^r p_r(x), row n-1-i is row i read backwards, so only ceil(n/2) rows are built
         tilde, half = kind is LebesgueKind.LAMBDA_TILDE, level.n // 2
-        rows = dct(np.eye(level.n - half, level.n))  # so only the first ceil(n/2) are built
-        rows = _from_v(scale_norms(rows, level, inverse=tilde), level)
-        rows *= np.sqrt(np.pi / level.n)
+        rows = _from_v(_node_coords(np.eye(level.n - half, level.n), level, not tilde), level)
         spec = (f"exact node sum over {level.n} kernel sections" if tilde
                 else f"exact sum of {level.n} interpolating scaling functions")
         mag = probe_values(rows, grid_size)
@@ -283,8 +275,8 @@ def discrete_norm(samples, p: float) -> float:
         return float(np.max(np.abs(samples)))
     if not p >= 1:
         raise ValueError(f"p must be inf or >= 1, got {p}")
-    n = samples.size
-    return float((np.pi / n * np.sum(np.abs(samples) ** p)) ** (1.0 / p))
+    top = np.max(np.abs(samples)) or 1.0  # |f/top|^p cannot overflow or underflow (1: all 0)
+    return float(top * (np.pi / samples.size * np.sum((np.abs(samples) / top) ** p)) ** (1 / p))
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,8 @@ def test_reconstruct_malformed_json(tmp_path):
                  '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, NaN, 0, 0, 0], "details": []}',
                  '{"theta": "0.5", "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
                  '{"theta": 0.5, "n0": 5, "L": 0, "base": ["1", "2", "0", true, "4e0"], '
-                 '"details": []}'):
+                 '"details": []}',
+                 "[" * 100000 + "]" * 100000):  # nested past the parser's recursion limit
         pyr.write_text(text)
         code = main(["reconstruct", "--pyramid", str(pyr), "--out", str(tmp_path / "r.csv")])
         assert code == 3

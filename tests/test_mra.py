@@ -466,6 +466,15 @@ def test_pyramid_json_validation():
             pyramid_from_json(text)
 
 
+def test_pyramid_json_refuses_deep_nesting():
+    # json.loads raises RecursionError past its nesting limit, which is not a ValueError
+    base = '"base": ' + "[" * 5000 + "]" * 5000
+    for text in ("[" * 100000 + "]" * 100000,
+                 '{"theta": 0.5, "n0": 5, "L": 0, ' + base + ', "details": []}'):
+        with pytest.raises(PyramidError, match="recursion"):
+            pyramid_from_json(text)
+
+
 def test_multidecomposition_chain_validation():
     rng = np.random.default_rng(15)
     base = ScalingCoeffs(VPLevel(5, 2), rng.standard_normal(5))

@@ -1,5 +1,7 @@
 import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,7 @@ from vpwave.chebyshev import (
     eval_p_table,
     eval_series,
     probe_grid,
+    probe_values,
     sup_error,
 )
 from vpwave import operators
@@ -314,6 +317,22 @@ def test_lebesgue_interp_is_one_at_nodes():
     assert_allclose(vals, np.ones(13), rtol=0, atol=1e-11)
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (5, 1), (13, 6), (40, 20), (41, 20)])
+def test_lambda_tilde_and_bar_are_the_node_operators_lebesgue_functions(n, m):
+    # sum_k |A e_k| on the probe grid, A the operator applied to node k's delta
+    level, deltas = VPLevel(n, m), np.eye(n)
+    sums = {
+        LebesgueKind.LAMBDA_BAR: sum(np.abs(probe_values(vp_interp(e, level), 1000))
+                                     for e in deltas),
+        LebesgueKind.LAMBDA_TILDE: sum(np.abs(probe_values(
+            scaling_to_cheb(discrete_proj(e, level)), 1000)) for e in deltas),
+    }
+    for kind, expected in sums.items():
+        assert_allclose(lebesgue_fn(level, kind, probe_grid(1000)), expected, rtol=1e-13, atol=0)
+        assert lebesgue_const(level, kind, 1000).value == pytest.approx(expected.max(),
+                                                                       rel=1e-13, abs=0)
+
+
 def test_lebesgue_node_sum_vs_integral_window():
     # two-sided pointwise equivalence; window is a pragmatic default
     xs = probe_grid(1000)
@@ -436,6 +455,18 @@ def test_discrete_norm_refuses_non_finite_and_malformed_samples(p):
         with pytest.raises(ValueError, match="nonempty 1-d"):
             discrete_norm(bad, p)
     assert discrete_norm((1, -2), p) == discrete_norm(np.array([1.0, -2.0]), p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_discrete_norm_neither_overflows_nor_underflows(p):
+    for samples in ([1e300, 2.0], [1e-200, 0.0]):
+        with mpmath.workdps(40):
+            exact = mpmath.root(mpmath.pi / 2 * sum(mpmath.mpf(s) ** p for s in samples), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = discrete_norm(samples, p)
+        assert value == pytest.approx(float(exact), rel=1e-15, abs=0)
+    assert discrete_norm([0.0, -0.0], p) == 0.0
 
 
 def test_discrete_norm_comparable_with_quadrature_l1():
