@@ -120,13 +120,15 @@ def _from_w(s, level: VPLevel, norms: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def scaling_analysis(u, level: VPLevel) -> np.ndarray:
-    """Node-indexed to degree-indexed coefficients in the approximation space:
-    a DCT with the top m-1 entries (the ramp) rescaled by the basis norms."""
+    """Coefficients over the unnormalized q_r of sum_k u_k (orthonormal scaling
+    function k): a DCT with the ramp degrees n-j, 0 < j < m, divided by nu_j."""
     return scale_norms(dct(_as_length(u, level.n)), level, inverse=True)
 
 
 def scaling_synthesis(t, level: VPLevel) -> np.ndarray:
-    """Transpose of scaling_analysis (inverse only where the norms are 1)."""
+    """Transpose of scaling_analysis: the inner products <f, q_r> of f in V to its
+    coefficients over the orthonormal scaling functions (the inverse of
+    scaling_analysis only where the norms are 1)."""
     return idct(scale_norms(_as_length(t, level.n).copy(), level, inverse=True))
 
 
@@ -181,16 +183,17 @@ def _fold_scale(n: int) -> np.ndarray:
 
 
 def detail_analysis(u, level: VPLevel) -> np.ndarray:
-    """Apply the orthogonal 2n x 2n detail mixing matrix, output indexed by
-    degrees n..3n-1: scatter onto the 3n-point grid, DCT, fold the mirrored
-    bands."""
+    """Coordinates over the orthonormal q~_r/||q~_r||, r = n..3n-1, of sum_k u_k
+    (orthonormal wavelet k): an orthogonal 2n x 2n map that scatters onto the
+    3n-point grid, takes a DCT and folds the mirrored bands."""
     n = level.n
     x = dct(_complement_scatter(_as_length(u, 2 * n), n))
     return _fold_scale(n) * _fold(x, n)
 
 
 def detail_synthesis(s, level: VPLevel) -> np.ndarray:
-    """Inverse (= transpose) of detail_analysis."""
+    """Inverse (= transpose) of detail_analysis: coordinates over the orthonormal
+    q~_r/||q~_r|| to coefficients over the orthonormal wavelets."""
     n = level.n
     x = idct(_unfold(_fold_scale(n) * _as_length(s, 2 * n), n))
     u = np.empty(x.shape[:-1] + (2 * n,))

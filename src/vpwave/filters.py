@@ -38,6 +38,8 @@ class VPLevel:
     @classmethod
     def from_theta(cls, n: int, theta: float) -> "VPLevel":
         """Level (n, floor(theta * n)) for theta in (0, 1)."""
+        if not _is_integer(n):
+            raise ValueError(f"resolution n must be an integer, got {n!r}")
         if not 0.0 < theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {theta}")
         try:

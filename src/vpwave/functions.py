@@ -27,6 +27,7 @@ REGISTRY = {
 
 
 def get_function(name: str):
+    """The registered test function called ``name``, else ValueError naming the known ones."""
     try:
         return REGISTRY[name]
     except KeyError:

@@ -164,6 +164,8 @@ def redecompose(top: ScalingCoeffs, decomp: MultiDecomposition) -> MultiDecompos
 
 @dataclass(frozen=True)
 class ThresholdReport:
+    """Detail coefficients kept of the total, and their energies (sums of squares)."""
+
     kept: int
     total: int
     energy_kept: float
@@ -238,23 +240,16 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
     try:
         doc = json.loads(text)
         theta = _json_number(doc["theta"])
-        base = ScalingCoeffs(VPLevel.from_theta(_json_int(doc["n0"]), theta),
-                             _json_numbers(doc["base"]))
+        base = ScalingCoeffs(VPLevel.from_theta(doc["n0"], theta), _json_numbers(doc["base"]))
         entries = doc["details"]
-        if not isinstance(entries, list) or len(entries) != _json_int(doc["L"]):
+        if not _is_integer(doc["L"]):
+            raise ValueError(f"level count L must be an integer, got {doc['L']!r}")
+        if not isinstance(entries, list) or len(entries) != doc["L"]:
             raise ValueError(f"details must be a list of L={doc['L']!r} entries")
-        details = [DetailCoeffs(VPLevel(_json_int(e["n"]), _json_int(e["m"])),
-                                _json_numbers(e["b"])) for e in entries]
+        details = [DetailCoeffs(VPLevel(e["n"], e["m"]), _json_numbers(e["b"])) for e in entries]
         return MultiDecomposition(theta, base, tuple(details))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PyramidError(f"bad pyramid document: {exc}") from exc
-
-
-def _json_int(value) -> int:
-    """A JSON integer; floats such as 5.7 (or 5.0) and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _json_number(value) -> int | float:

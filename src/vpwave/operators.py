@@ -28,6 +28,7 @@ from .bases import ScalingCoeffs, _from_v, _node_coords, _to_v, _vector, scaling
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
+    _check_domain,
     _check_size,
     cheb_nodes,
     dct,
@@ -50,6 +51,8 @@ class OperatorKind(enum.Enum):
 
 
 class LebesgueKind(enum.Enum):
+    """The three Lebesgue functions, one per operator."""
+
     LAMBDA = "lambda"            # integral of |kernel| against the weight
     LAMBDA_TILDE = "lambda-tilde"  # node sum (pi/n) sum_i |kernel(x_i, x)|
     LAMBDA_BAR = "lambda-bar"    # sum_k |interpolating scaling function k|
@@ -57,6 +60,8 @@ class LebesgueKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LebesgueReport:
+    """Lebesgue constant of one kind at level (n, m) on probe_grid(grid_size), and its method."""
+
     kind: LebesgueKind
     n: int
     m: int
@@ -66,7 +71,10 @@ class LebesgueReport:
 
 
 def proj_kernel(level: VPLevel, x: float, y: float) -> float:
-    """Reproducing kernel of the projection onto V at (x, y)."""
+    """Reproducing kernel of the projection onto V at the points x and y of [-1, 1]."""
+    x, y = _check_domain(x), _check_domain(y)
+    if x.ndim or y.ndim:
+        raise ValueError(f"x and y must be scalars, got shapes {x.shape} and {y.shape}")
     return float(eval_series(_kernel_sections(level, [x])[0], y))
 
 
@@ -281,6 +289,8 @@ def discrete_norm(samples, p: float) -> float:
 
 @dataclass(frozen=True)
 class ErrorPoint:
+    """Sup-norm error of an approximant at level (n, m)."""
+
     n: int
     m: int
     error: float

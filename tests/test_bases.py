@@ -20,9 +20,11 @@ from vpwave.bases import (
     _from_w,
     _to_v,
     approx_basis,
+    detail_analysis,
     detail_basis,
     detail_to_cheb,
     ortho_to_values,
+    scaling_analysis,
     scaling_interp,
     scaling_ortho,
     scaling_to_cheb,
@@ -360,3 +362,17 @@ def test_change_of_basis_forward_backward_identity():
     fwd = np.column_stack([values_to_ortho(col, L136).a for col in np.eye(n)])
     bwd = np.column_stack([ortho_to_values(ScalingCoeffs(L136, col)) for col in np.eye(n)])
     assert max_dev(fwd @ bwd, np.eye(n)) < 1e-11
+
+
+@pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), L136, VPLevel(13, 12),
+                                   VPLevel(40, 20), VPLevel(41, 30)], ids=str)
+def test_coefficient_transforms_map_to_the_modified_chebyshev_bases(level):
+    # scaling_analysis: over the unnormalized q_r; detail_analysis: over q~_r/||q~_r||
+    n = level.n
+    rng = np.random.default_rng(n + level.m)
+    a, b = rng.standard_normal(n), rng.standard_normal(2 * n)
+    q = np.array([approx_basis(level, r) for r in range(n)])
+    qt = np.array([detail_basis(level, r) for r in range(n, 3 * n)])
+    qt /= np.linalg.norm(qt, axis=1, keepdims=True)
+    assert max_dev(scaling_to_cheb(ScalingCoeffs(level, a)), scaling_analysis(a, level) @ q) < 1e-14
+    assert max_dev(detail_to_cheb(DetailCoeffs(level, b)), detail_analysis(b, level) @ qt) < 1e-14

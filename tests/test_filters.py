@@ -32,6 +32,12 @@ def test_level_validation():
         VPLevel.from_theta(13, 1.0)
 
 
+@pytest.mark.parametrize("n", ["10", None, [10], 10.0, True])
+def test_from_theta_refuses_a_non_integer_n_before_theta_times_n(n):
+    with pytest.raises(ValueError, match=r"resolution n must be an integer, got "):
+        VPLevel.from_theta(n, 0.5)
+
+
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """Squared norms of the polynomials whose p-coefficients are the rows."""
     return (rows ** 2).sum(axis=-1)

@@ -387,6 +387,14 @@ def test_nan_points_are_outside_the_domain(call, x):
         call(x)
 
 
+@pytest.mark.parametrize("x,y", [([0.2, 0.3], 0.5), ([[0.2, 0.4]], 0.5), ([0.2], 0.5),
+                                 (0.2, [0.5, 0.6]), (0.2, np.array([0.5]))])
+def test_proj_kernel_takes_scalar_points_only(x, y):
+    # an array x used to drop every point but the first, an array y to fail in float()
+    with pytest.raises(ValueError, match="must be scalars"):
+        proj_kernel(L136, x, y)
+
+
 def test_lebesgue_const_reports():
     for kind in LebesgueKind:
         rep = lebesgue_const(L136, kind, grid_size=1000)
