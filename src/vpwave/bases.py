@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _is_integer, dct, idct
+from .chebyshev import _is_integer, _last_axis, dct, idct
 from .filters import VPLevel, rotate, scale_norms
 
 SQRT2 = math.sqrt(2.0)
@@ -74,13 +74,6 @@ class DetailCoeffs:
         self.b.setflags(write=False)
 
 
-def _as_length(u, n: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0 or u.shape[-1] != n:
-        raise ValueError(f"expected a last axis of length {n}, got shape {u.shape}")
-    return u
-
-
 def _pad(x, first: int, size: int) -> np.ndarray:
     """x placed at entries first.. of a zero last axis of length ``size``."""
     c = np.zeros(x.shape[:-1] + (size,))
@@ -122,14 +115,14 @@ def _from_w(s, level: VPLevel, norms: bool = False) -> np.ndarray:
 def scaling_analysis(u, level: VPLevel) -> np.ndarray:
     """Coefficients over the unnormalized q_r of sum_k u_k (orthonormal scaling
     function k): a DCT with the ramp degrees n-j, 0 < j < m, divided by nu_j."""
-    return scale_norms(dct(_as_length(u, level.n)), level, inverse=True)
+    return scale_norms(dct(_last_axis(u, level.n)), level, inverse=True)
 
 
 def scaling_synthesis(t, level: VPLevel) -> np.ndarray:
     """Transpose of scaling_analysis: the inner products <f, q_r> of f in V to its
     coefficients over the orthonormal scaling functions (the inverse of
     scaling_analysis only where the norms are 1)."""
-    return idct(scale_norms(_as_length(t, level.n).copy(), level, inverse=True))
+    return idct(scale_norms(_last_axis(t, level.n).copy(), level, inverse=True))
 
 
 def _node_coords(u, level: VPLevel, interp: bool) -> np.ndarray:
@@ -152,24 +145,15 @@ def _fold(x, n: int) -> np.ndarray:
     """Mirror the 3n DCT coefficients of a complement-grid vector onto the 2n
     degrees of W: x_n; x_r + x_{2n-r} for n < r < 2n; x_{2n} + sqrt 2 x_0;
     x_r for r > 2n.  It loses nothing for vectors vanishing on coarse nodes."""
-    f = np.empty(x.shape[:-1] + (2 * n,))
-    f[..., 0] = x[..., n]
-    f[..., 1:n] = x[..., n + 1:2 * n] + x[..., n - 1:0:-1]
-    f[..., n] = x[..., 2 * n] + SQRT2 * x[..., 0]
-    f[..., n + 1:] = x[..., 2 * n + 1:]
+    f = x[..., n:].copy()
+    f[..., 1:n] += x[..., n - 1:0:-1]
+    f[..., n] += SQRT2 * x[..., 0]
     return f
 
 
 def _unfold(f, n: int) -> np.ndarray:
-    """Transpose of _fold."""
-    x = np.empty(f.shape[:-1] + (3 * n,))
-    x[..., 0] = SQRT2 * f[..., n]
-    x[..., 1:n] = f[..., n - 1:0:-1]
-    x[..., n] = f[..., 0]
-    x[..., n + 1:2 * n] = f[..., 1:n]
-    x[..., 2 * n] = f[..., n]
-    x[..., 2 * n + 1:] = f[..., n + 1:]
-    return x
+    """Transpose of _fold: f on degrees n..3n-1, mirrored onto 1..n-1 and 0."""
+    return np.concatenate([SQRT2 * f[..., n:n + 1], f[..., n - 1:0:-1], f], axis=-1)
 
 
 def _fold_scale(n: int) -> np.ndarray:
@@ -187,7 +171,7 @@ def detail_analysis(u, level: VPLevel) -> np.ndarray:
     (orthonormal wavelet k): an orthogonal 2n x 2n map that scatters onto the
     3n-point grid, takes a DCT and folds the mirrored bands."""
     n = level.n
-    x = dct(_complement_scatter(_as_length(u, 2 * n), n))
+    x = dct(_complement_scatter(_last_axis(u, 2 * n), n))
     return _fold_scale(n) * _fold(x, n)
 
 
@@ -195,7 +179,7 @@ def detail_synthesis(s, level: VPLevel) -> np.ndarray:
     """Inverse (= transpose) of detail_analysis: coordinates over the orthonormal
     q~_r/||q~_r|| to coefficients over the orthonormal wavelets."""
     n = level.n
-    x = idct(_unfold(_fold_scale(n) * _as_length(s, 2 * n), n))
+    x = idct(_unfold(_fold_scale(n) * _last_axis(s, 2 * n), n))
     u = np.empty(x.shape[:-1] + (2 * n,))
     u[..., 0::2] = x[..., 0::3]
     u[..., 1::2] = x[..., 2::3]
@@ -266,13 +250,14 @@ def wavelet_ortho(level: VPLevel, k: int) -> np.ndarray:
 
 def scaling_to_cheb(c: ScalingCoeffs) -> np.ndarray:
     """p-coefficients of sum_k a_k (orthonormal scaling function k)."""
-    return _from_v(dct(c.a), c.level)
+    return _vector(_from_v(dct(c.a), c.level), c.level.n + c.level.m, "coefficients")
 
 
 def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
     """p-coefficients of sum_k b_k (orthonormal wavelet k): detail_analysis
     gives the coordinates over the orthonormal q~_r/||q~_r||."""
-    return _from_w(detail_analysis(d.b, d.level), d.level)
+    return _vector(_from_w(detail_analysis(d.b, d.level), d.level), 3 * d.level.n + d.level.m,
+                   "coefficients")
 
 
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:
@@ -284,4 +269,5 @@ def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:
 
 def ortho_to_values(c: ScalingCoeffs) -> np.ndarray:
     """Values on the level-n Chebyshev grid; inverse of values_to_ortho."""
-    return np.sqrt(c.level.n / np.pi) * scaling_synthesis(dct(c.a), c.level)
+    return _vector(np.sqrt(c.level.n / np.pi) * scaling_synthesis(dct(c.a), c.level), c.level.n,
+                   "values")

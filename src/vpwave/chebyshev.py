@@ -66,9 +66,7 @@ def eval_p(r: int, x):
     """Orthonormal Chebyshev polynomial p_r at x (scalar or array), |x| <= 1."""
     if not _is_integer(r) or r < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {r!r}")
-    x = _check_domain(x)
-    scale = SQRT_1_PI if r == 0 else SQRT_2_PI
-    out = scale * np.cos(r * np.arccos(x))
+    out = eval_p_table([r], x)[0].reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -85,19 +83,20 @@ def eval_p_table(degrees, x) -> np.ndarray:
 
 def dct(v) -> np.ndarray:
     """Fast orthonormal DCT-II along the last axis (see module docstring)."""
-    return scipy.fft.dct(_last_axis(v, 1), type=2, norm="ortho")
+    return scipy.fft.dct(_last_axis(v), type=2, norm="ortho")
 
 
 def idct(v) -> np.ndarray:
     """Fast orthonormal DCT-III along the last axis (transpose/inverse of dct)."""
-    return scipy.fft.idct(_last_axis(v, 1), type=2, norm="ortho")
+    return scipy.fft.idct(_last_axis(v), type=2, norm="ortho")
 
 
-def _last_axis(v, least: int = 0) -> np.ndarray:
-    """v as floats with a last axis of at least ``least`` entries; a scalar has none."""
+def _last_axis(v, size: int | None = None) -> np.ndarray:
+    """v as floats with a last axis, of exactly ``size`` entries if given; a scalar has none."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or v.shape[-1] < least:
-        raise ValueError(f"expected a last axis of length >= {least}, got shape {v.shape}")
+    if v.ndim == 0 or size not in (None, v.shape[-1]):
+        need = "" if size is None else f" of length {size}"
+        raise ValueError(f"expected a last axis{need}, got shape {v.shape}")
     return v
 
 

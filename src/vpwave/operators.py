@@ -102,7 +102,8 @@ def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
 def vp_interp(samples, level: VPLevel) -> np.ndarray:
     """Interpolating mean of the samples: the element of V matching them on
     the node grid, as its p-coefficients of degrees 0..n+m-1."""
-    return _from_v(_node_coords(_vector(samples, level.n, "samples"), level, True), level)
+    c = _from_v(_node_coords(_vector(samples, level.n, "samples"), level, True), level)
+    return _vector(c, level.n + level.m, "coefficients")
 
 
 # ---------------------------------------------------------------------------

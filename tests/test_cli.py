@@ -239,6 +239,19 @@ def test_reconstruct_malformed_json(tmp_path):
         assert not (tmp_path / "r.csv").exists()
 
 
+def test_reconstruct_overflowing_samples_exit_2(tmp_path, capsys):
+    # a valid pyramid whose samples overflow to inf/NaN inside the DCTs
+    pyr = tmp_path / "pyr.json"
+    pyr.write_text('{"theta": 0.5, "n0": 5, "L": 0, "base": [1e308, 1e308, 1e308, 1e308, 1e308], '
+                   '"details": []}')
+    out = tmp_path / "r.csv"
+    assert main(["reconstruct", "--pyramid", str(pyr), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: values must be finite\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_level_zero_decompose_reconstruct(tmp_path, capsys):
     pyr = tmp_path / "pyr.json"
     assert main(["decompose", "--f", "runge", "--n0", "10", "--levels", "0",

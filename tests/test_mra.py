@@ -86,11 +86,20 @@ def test_detail_synthesis_impulse_gives_matrix_row():
     assert max_dev(detail_synthesis(impulse, L136), detail_transform(L136)[0]) < 1e-13
 
 
-def test_transform_length_validation():
-    with pytest.raises(ValueError):
-        scaling_analysis(np.zeros(12), L136)
-    with pytest.raises(ValueError):
-        detail_analysis(np.zeros(13), L136)
+@pytest.mark.parametrize("transform, u", [
+    (scaling_analysis, np.zeros(12)),
+    (detail_analysis, np.zeros(13)),
+    (scaling_synthesis, np.zeros(12)),
+    (detail_synthesis, np.zeros(25)),
+    (scaling_analysis, 3.0),
+    (scaling_synthesis, 3.0),
+    (detail_analysis, 3.0),
+    (detail_synthesis, 3.0),
+    (scaling_analysis, np.zeros((2, 12))),
+])
+def test_transform_length_validation(transform, u):
+    with pytest.raises(ValueError, match="last axis"):
+        transform(u, L136)
 
 
 def test_decompose_pure_coarse_content_gives_zero_detail():

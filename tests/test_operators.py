@@ -12,6 +12,7 @@ from util import max_dev, scaling_ortho_matrix
 from vpwave.bases import (
     DetailCoeffs,
     ScalingCoeffs,
+    detail_to_cheb,
     ortho_to_values,
     scaling_ortho,
     scaling_to_cheb,
@@ -135,11 +136,17 @@ _ONE_INF = [0.0] * 6 + [np.inf] + [0.0] * 6
     lambda: ScalingCoeffs(L136, _ONE_NAN),
     lambda: DetailCoeffs(L136, _ONE_NAN + _ONE_NAN),
     lambda: ScalingCoeffs(L136, [10**400] + [0] * 12),
-    # finite samples whose projection overflows
+    # finite samples or coefficients whose image overflows
     lambda: decompose_multi(np.full(45, 1.7e308), 5, 2, 0.5),
+    lambda: ortho_to_values(ScalingCoeffs(VPLevel(5, 2), [1e308] * 5)),
+    lambda: vp_interp([1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308], VPLevel(5, 2)),
+    lambda: scaling_to_cheb(ScalingCoeffs(L136, [1.7e308, -1.7e308] * 6 + [1.7e308])),
+    lambda: detail_to_cheb(DetailCoeffs(L136, [1.7e308, -1.7e308] * 13)),
+    lambda: error_curve(lambda x: 1.7e308 * np.sign(x - 0.1), "vp", 0.5, [10]),
 ], ids=["discrete-nan", "discrete-inf", "interp-nan", "interp-inf", "ortho-nan",
         "ortho-inf", "fourier-nan", "scaling-nan", "detail-nan", "scaling-huge-int",
-        "decompose-overflow"])
+        "decompose-overflow", "values-overflow", "interp-overflow", "scaling-cheb-overflow",
+        "detail-cheb-overflow", "error-curve-overflow"])
 def test_every_vector_must_be_finite(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
