@@ -126,16 +126,17 @@ def probe_grid(grid_size: int) -> np.ndarray:
 
 def probe_values(coeffs, grid_size: int) -> np.ndarray:
     """Sum_r c_r p_r on probe_grid(grid_size) along the last axis, by one DCT-I.
-    On the grid p_r = p_{2M-r} = p_{r+2M}, so degrees >= M fold back first."""
+    On the grid p_r = p_{2M-r} = p_{r+2M}, so degrees >= M fold back first.  The DCT-I's
+    halving of the inner terms goes into the weights, on every r not a multiple of M."""
     _check_size(grid_size)
     c = _last_axis(coeffs)
-    c = c * np.where(np.arange(c.shape[-1]) == 0, SQRT_1_PI, SQRT_2_PI)
+    r = np.arange(c.shape[-1])
+    c = c * (np.where(r == 0, SQRT_1_PI, SQRT_2_PI) * np.where(r % grid_size == 0, 1.0, 0.5))
     a = np.zeros(c.shape[:-1] + (grid_size + 1,))
     for start in range(0, c.shape[-1], 2 * grid_size):
         block = c[..., start:start + 2 * grid_size]
         a[..., :block.shape[-1]] += block[..., :grid_size + 1]
         a[..., 2 * grid_size + 1 - block.shape[-1]:grid_size] += block[..., :grid_size:-1]
-    a[..., 1:grid_size] *= 0.5
     return scipy.fft.dct(a, type=1, axis=-1, overwrite_x=True)
 
 

@@ -120,9 +120,23 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     kept in each bracket by bisection, polishes a root for at most 8 steps, until
     kernel^2/|kernel'| <= 2^-53 (a root off by kernel/kernel' moves the integral by about
     that, and the integral's scale is pi b_0 = 1) or |kernel| is at the roundoff of its sum.
-    Between roots |kernel| integrates exactly to |F(b) - F(a)|,
-    F(t) = b_0 t + sum_s b_s sin(s t)/s.
+    A simple bracket starts Newton at its secant point, where the line through the two
+    samples crosses zero.  Between roots |kernel| integrates exactly to |F(b) - F(a)|,
+    F(t) = b_0 t + sum_s b_s sin(s t)/s.  The points go through in blocks of about 2^20
+    angle samples, the block size of eval_series, so memory does not grow with len(xs).
     """
+    step = max(1, (1 << 20) // (16 * (level.n + level.m)))
+    # an empty xs still takes one (empty) block, so that the result has shape (0,)
+    parts = [_lambda_rows(level, xs[j:j + step]) for j in range(0, max(len(xs), 1), step)]
+    missed = sum(count for _, count in parts)
+    if missed:
+        warnings.warn(f"lambda: {missed} kernel roots unconverged after 8 Newton steps",
+                      RuntimeWarning, stacklevel=3)
+    return np.concatenate([vals for vals, _ in parts]), missed
+
+
+def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
+    """_lambda_integral on one block of points, without the warning."""
     sections = _kernel_sections(level, xs)
     s = np.arange(sections.shape[1])[:, None]
     b = np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI))
@@ -194,16 +208,16 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     left = np.concatenate([neg[rows, cols], neg[r2, c2], ~neg[r2, c2]])
     lo = np.concatenate([cols * h, c2 * h, ext])
     hi = np.concatenate([(cols + 1) * h, ext, (c2 + 2) * h])
-    start = np.concatenate([(cols + 0.5) * h, ext - half, ext + half])
+    # the secant point of a simple bracket; its middle if both samples are zero (+0, -0)
+    m0, m1 = mag[rows, cols], mag[rows, cols + 1]
+    secant = np.divide(m0, m0 + m1, out=np.full_like(m0, 0.5), where=m0 + m1 > 0.0)
+    start = np.concatenate([(cols + secant) * h, ext - half, ext + half])
     rows = np.concatenate([rows, r2, r2])
     end = np.where(lo == 0.0, 0.0, np.where(hi == size * h, np.pi, np.nan))
     root, missed = newton(0, rows, lo, hi, np.clip(start, lo, hi),
                           lambda val, slope, step, rows: ((val * val <= np.abs(slope) / 2 ** 53)
                                                          | (np.abs(val) <= floor[rows])),
                           left, end)
-    if missed:
-        warnings.warn(f"lambda: {missed} kernel roots unconverged after 8 Newton steps",
-                      RuntimeWarning, stacklevel=3)
     anti = b[0, rows] * root + _cosine_sums(b / np.maximum(s, 1), rows, root).imag
     # pieces alternate in sign: F(pi) = b_0 pi as the last piece, 2 F(root) as the left one
     return (np.where(neg[:, -1], -np.pi, np.pi) * b[0]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -317,6 +318,41 @@ def test_lebesgue_integral_says_when_roots_miss_their_rule(monkeypatch):
     with pytest.warns(RuntimeWarning, match="unconverged"):
         spec = lebesgue_const(L136, LebesgueKind.LAMBDA, 1000).quad_spec
     assert re.search(r"; [1-9]\d* roots unconverged$", spec)
+    # 20001 points take 6 blocks of rows, and still raise one warning with the total
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, missed = operators._lambda_integral(L136, probe_grid(20000))
+    assert [type(w.message) for w in caught] == [RuntimeWarning]
+    assert str(caught[0].message).startswith(f"lambda: {missed} kernel roots unconverged")
+
+
+def test_lebesgue_integral_memory_does_not_grow_with_the_points():
+    # the probe points go through in row blocks, so 4x the points take no more memory
+    def peak(grid_size):
+        tracemalloc.start()
+        try:
+            lebesgue_fn(VPLevel(20, 10), LebesgueKind.LAMBDA, probe_grid(grid_size))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12000) / peak(3000) < 1.5  # 3.4 when the whole table was built at once
+
+
+def test_lebesgue_integral_starts_newton_at_the_secant_point(monkeypatch):
+    # from the secant point most roots meet their rule at the second or third evaluation;
+    # from the bracket midpoints the same call took 43,970 (value, slope) points
+    points = []
+    sums = operators._cosine_sums
+
+    def counted(coeffs, rows, t):
+        if coeffs.ndim == 3:
+            points.append(len(t))
+        return sums(coeffs, rows, t)
+
+    monkeypatch.setattr(operators, "_cosine_sums", counted)
+    lebesgue_const(L136, LebesgueKind.LAMBDA, 2000)
+    assert sum(points) <= 36000
 
 
 def test_lebesgue_interp_is_one_at_nodes():
