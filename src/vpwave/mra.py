@@ -164,7 +164,9 @@ def redecompose(top: ScalingCoeffs, decomp: MultiDecomposition) -> MultiDecompos
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Detail coefficients kept of the total, and their energies (sums of squares)."""
+    """Detail coefficients kept of the total, and their energies (sums of squares).  Every
+    square is >= 0, so a square that overflows puts its energy beyond the float range too,
+    and the energy reads inf."""
 
     kept: int
     total: int

@@ -30,6 +30,7 @@ from .chebyshev import (
     SQRT_2_PI,
     _check_domain,
     _check_size,
+    _is_integer,
     cheb_nodes,
     dct,
     eval_p_table,
@@ -120,10 +121,10 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     kept in each bracket by bisection, polishes a root for at most 8 steps, until
     kernel^2/|kernel'| <= 2^-53 (a root off by kernel/kernel' moves the integral by about
     that, and the integral's scale is pi b_0 = 1) or |kernel| is at the roundoff of its sum.
-    A simple bracket starts Newton at its secant point, where the line through the two
-    samples crosses zero.  Between roots |kernel| integrates exactly to |F(b) - F(a)|,
-    F(t) = b_0 t + sum_s b_s sin(s t)/s.  The points go through in blocks of about 2^20
-    angle samples, the block size of eval_series, so memory does not grow with len(xs).
+    A simple bracket starts Newton at its secant point, or next to t = 0 or pi, about which
+    the kernel is even, at the root of the kernel's even quadratic about that end.  Between
+    roots |kernel| integrates exactly to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
+    The points go through in blocks of about 2^20 angle samples: memory does not grow with xs.
     """
     step = max(1, (1 << 20) // (16 * (level.n + level.m)))
     # an empty xs still takes one (empty) block, so that the result has shape (0,)
@@ -136,7 +137,7 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
-    """_lambda_integral on one block of points, without the warning."""
+    """_lambda_integral on one block of points (at most 2^16 roots), without the warning."""
     sections = _kernel_sections(level, xs)
     s = np.arange(sections.shape[1])[:, None]
     b = np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI))
@@ -144,41 +145,31 @@ def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     h = np.pi / size
     floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
 
-    def newton(k, rows, lo, hi, t, converged, left=None, end=None):
+    def newton(k, rows, lo, hi, t, converged, left=None):
         """From t, zeros in [lo, hi] of the k-th angle derivative of the kernel rows, and
         how many points missed converged(value, slope, step, rows) in 8 steps.  A step that
         leaves [lo, hi] is clipped to it; given left, the sign bit at lo, the bracket shrinks
-        to the sign change instead and a step that leaves it bisects it.  Where end is 0 or
-        pi the step is taken in u = (t - end)^2: the kernel is even about both ends, so a
-        root near one has a mirror image just outside, and Newton in t is only linear."""
+        to the sign change instead and a step that leaves it bisects it."""
         pair = np.stack([b * (1j * s) ** k, b * (1j * s) ** (k + 1)], axis=1)
-        missed = 0
-        for j in range(0, len(t), 1 << 16):  # in blocks, so that temporaries stay small
-            live = np.arange(j, min(j + (1 << 16), len(t)))
-            for _ in range(8):
-                at = t[live]
-                val, slope = _cosine_sums(pair, rows[live], at).real
-                step = np.divide(val, slope, out=np.zeros_like(val), where=slope != 0.0)
-                done = converged(val, slope, step, rows[live])
-                new = at - step
-                if end is not None:  # u(new) = u - 2 (t - end) step = (new - end)^2 - step^2
-                    i = np.flatnonzero(~np.isnan(end[live]))
-                    e = end[live[i]]
-                    a = np.sqrt(np.maximum((new[i] - e) ** 2 - step[i] ** 2, 0.0))
-                    new[i] = np.where(e == 0.0, a, np.pi - a)
-                if left is not None:  # the bracket shrinks to the sign change
-                    right = np.signbit(val) == left[live]  # the zero lies right of t
-                    lo[live[right]], hi[live[~right]] = at[right], at[~right]
-                np.clip(new, lo[live], hi[live], out=new)
-                if left is not None:  # and a step stuck at its end bisects it instead
-                    stuck = np.flatnonzero((new == at) & ~done)
-                    new[stuck] = (lo[live[stuck]] + hi[live[stuck]]) / 2
-                t[live] = new
-                live = live[~done]
-                if not live.size:
-                    break
-            missed += live.size
-        return t, missed
+        live = np.arange(len(t))
+        for _ in range(8):
+            at = t[live]
+            val, slope = _cosine_sums(pair, rows[live], at).real
+            step = np.divide(val, slope, out=np.zeros_like(val), where=slope != 0.0)
+            done = converged(val, slope, step, rows[live])
+            new = at - step
+            if left is not None:  # the bracket shrinks to the sign change
+                right = np.signbit(val) == left[live]  # the zero lies right of t
+                lo[live[right]], hi[live[~right]] = at[right], at[~right]
+            np.clip(new, lo[live], hi[live], out=new)
+            if left is not None:  # and a step stuck at its end bisects it instead
+                stuck = np.flatnonzero((new == at) & ~done)
+                new[stuck] = (lo[live[stuck]] + hi[live[stuck]]) / 2
+            t[live] = new
+            live = live[~done]
+            if not live.size:
+                break
+        return t, live.size
 
     vals = probe_values(sections, size)
     neg, mag = np.signbit(vals), np.abs(vals, out=vals)
@@ -210,14 +201,20 @@ def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     hi = np.concatenate([(cols + 1) * h, ext, (c2 + 2) * h])
     # the secant point of a simple bracket; its middle if both samples are zero (+0, -0)
     m0, m1 = mag[rows, cols], mag[rows, cols + 1]
-    secant = np.divide(m0, m0 + m1, out=np.full_like(m0, 0.5), where=m0 + m1 > 0.0)
-    start = np.concatenate([(cols + secant) * h, ext - half, ext + half])
+    first = (cols + np.divide(m0, m0 + m1, out=np.full_like(m0, 0.5), where=m0 + m1 > 0.0)) * h
+    # next to t = 0 or pi, about which the kernel is even, the root of its even quadratic
+    # there, K(end) + K''(end) (t - end)^2 / 2 with K''(end) = -sum_s (+-1)^s s^2 b_s != 0
+    side = (cols == size - 1).astype(int)  # 1 in the bracket that ends at pi, else 0
+    curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])[side, rows]
+    near = ((cols == 0) | (cols == size - 1)) & (curv > 0.0)
+    dist = np.sqrt(2 * mag[rows, side * size][near] / curv[near])
+    first[near] = np.where(side[near], np.pi - dist, dist)
+    start = np.concatenate([first, ext - half, ext + half])
     rows = np.concatenate([rows, r2, r2])
-    end = np.where(lo == 0.0, 0.0, np.where(hi == size * h, np.pi, np.nan))
     root, missed = newton(0, rows, lo, hi, np.clip(start, lo, hi),
                           lambda val, slope, step, rows: ((val * val <= np.abs(slope) / 2 ** 53)
                                                          | (np.abs(val) <= floor[rows])),
-                          left, end)
+                          left)
     anti = b[0, rows] * root + _cosine_sums(b / np.maximum(s, 1), rows, root).imag
     # pieces alternate in sign: F(pi) = b_0 pi as the last piece, 2 F(root) as the left one
     return (np.where(neg[:, -1], -np.pi, np.pi) * b[0]
@@ -322,14 +319,16 @@ def approximant(f: Callable, level: VPLevel, kind: OperatorKind) -> np.ndarray:
 
 
 def _sweep_levels(theta: float, n_list: Iterable[int]) -> Iterator[VPLevel]:
-    """VPLevel.from_theta(n, theta) for each n of a sweep, skipping degenerate
-    levels with a warning; a theta outside (0, 1) raises on the first step."""
+    """VPLevel.from_theta(n, theta) for each n of a sweep.  A degenerate level, whose m falls
+    outside (0, n), is skipped with a warning; a bad theta or n raises."""
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     for n in n_list:
         try:
             level = VPLevel.from_theta(n, theta)
         except ValueError as exc:
+            if not _is_integer(n) or isinstance(exc.__cause__, OverflowError):  # a bad n
+                raise
             warnings.warn(f"skipping n={n}: {exc}")
             continue
         yield level

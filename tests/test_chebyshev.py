@@ -293,6 +293,14 @@ def test_sup_error_basics():
     f = np.cos
     assert sup_error(f, f, 64) == 0.0
     assert sup_error(lambda x: x, lambda x: np.zeros_like(x), 50) == pytest.approx(1.0)
+    assert sup_error(lambda x: x, lambda x: np.zeros_like(x), 1) == 1.0  # x = 1 and -1
+
+
+@pytest.mark.parametrize("grid_size", ["10", None, 2.5, True, 0])
+def test_sup_error_refuses_a_grid_size_that_is_not_a_positive_integer(grid_size):
+    # probe_grid's one grid-size rule
+    with pytest.raises(ValueError, match="grid size must be"):
+        sup_error(np.sin, np.cos, grid_size)
 
 
 def test_sup_error_monotone_under_refinement():

@@ -298,9 +298,10 @@ def test_lebesgue_integral_bisects_a_step_stuck_at_its_bracket():
                                      (13, 3, 175), (3, 1, 800), (19, 2, 443)])
 def test_lebesgue_integral_at_roots_next_to_an_end(n, m, row):
     # the kernel is even about t = 0 and t = pi, so a root a fraction of a bracket from an
-    # end has a mirror image just outside [0, pi] and Newton in t only converges linearly;
-    # at (19, 2) row 443 the root is 0.014 brackets from t = 0, the first step overshoots
-    # the end, and the bracket is bisected
+    # end has a mirror image just outside [0, pi], and Newton in t from the secant point
+    # only converges linearly; the root of the kernel's even quadratic about the end starts
+    # it next to the root instead: at (19, 2) row 443 the root is 0.014 brackets from
+    # t = 0, and the quadratic's root 6e-9 brackets from it
     level = VPLevel(n, m)
     x = probe_grid(2000)[row]
     assert lebesgue_fn(level, LebesgueKind.LAMBDA, x) == pytest.approx(
@@ -558,6 +559,21 @@ def test_error_curve_skips_degenerate_levels():
         pts = error_curve(np.sin, OperatorKind.DISCRETE_PROJ, 0.1, [5, 30],
                           grid_size=500)
     assert [p.n for p in pts] == [30]
+
+
+@pytest.mark.parametrize("n", [10.0, "10", 10 ** 400], ids=["float", "str", "huge"])
+def test_error_curve_raises_for_a_bad_resolution(n):
+    # only a degenerate level is skipped: a non-integer n, or one beyond theta n's float
+    # range, raises instead of leaving an empty curve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="resolution n"):
+            error_curve(np.sin, OperatorKind.VP_INTERP, 0.5, [20, n], grid_size=500)
+
+
+def test_error_curve_refuses_a_grid_size_that_is_not_a_positive_integer():
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        error_curve(np.sin, OperatorKind.VP_INTERP, 0.5, [10], grid_size="10")
 
 
 def test_rough_function_operator_ordering():
