@@ -20,7 +20,7 @@ grid, and sup-norm error sweeps over resolution levels.
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -124,26 +124,94 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     A simple bracket starts Newton at its secant point, or next to t = 0 or pi, about which
     the kernel is even, at the root of the kernel's even quadratic about that end.  Between
     roots |kernel| integrates exactly to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
-    The points go through in blocks of about 2^20 angle samples: memory does not grow with xs.
     """
-    step = max(1, (1 << 20) // (16 * (level.n + level.m)))
-    # an empty xs still takes one (empty) block, so that the result has shape (0,)
-    parts = [_lambda_rows(level, xs[j:j + step]) for j in range(0, max(len(xs), 1), step)]
+    parts = [_lambda_polish(block) for block in _lambda_blocks(level, xs)]
     missed = sum(count for _, count in parts)
-    if missed:
-        warnings.warn(f"lambda: {missed} kernel roots unconverged after 8 Newton steps",
-                      RuntimeWarning, stacklevel=3)
+    _warn_unconverged(missed)
     return np.concatenate([vals for vals, _ in parts]), missed
 
 
-def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
-    """_lambda_integral on one block of points (at most 2^16 roots), without the warning."""
-    sections = _kernel_sections(level, xs)
-    s = np.arange(sections.shape[1])[:, None]
-    b = np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI))
+def _lambda_max(level: VPLevel, xs: np.ndarray) -> tuple[float, int]:
+    """The maximum of _lambda_integral over xs (nonempty), and how many roots of the points
+    it polished missed their rule.  The point of the first block with the largest bound (see
+    _KernelSamples.bound) is polished first; after it, block by block, only the points whose
+    bound reaches the largest value polished so far, as no other point can exceed it."""
+    best, missed = -np.inf, 0
+    for block in _lambda_blocks(level, xs):
+        bound = block.bound()
+        if best == -np.inf:
+            top = int(np.argmax(bound))
+            vals, missed = _lambda_polish(block, [top])
+            best, bound[top] = vals[0], -np.inf
+        rows = np.flatnonzero(bound >= best)
+        if rows.size:
+            vals, count = _lambda_polish(block, rows)
+            best, missed = max(best, vals.max()), missed + count
+    _warn_unconverged(missed)
+    return float(best), missed
+
+
+def _warn_unconverged(missed: int) -> None:
+    if missed:
+        warnings.warn(f"lambda: {missed} kernel roots unconverged after 8 Newton steps",
+                      RuntimeWarning, stacklevel=4)
+
+
+class _KernelSamples(NamedTuple):
+    """The sampling stage of lambda on a block of points, a column of b and a row of the
+    others per point: the coefficients of kernel(x, cos t) = sum_s b_s cos(s t), the
+    roundoff floor of one such sum, the kernel's sign bits and magnitudes at the angles j h,
+    h = pi / (16(n+m)), j = 0..16(n+m), the reach of a root pair's parabola test, and
+    |kernel''| at t = 0 and pi."""
+
+    b: np.ndarray
+    floor: np.ndarray
+    neg: np.ndarray
+    mag: np.ndarray
+    reach: np.ndarray
+    curv: np.ndarray
+
+    def bound(self) -> np.ndarray:
+        """An upper bound on lambda at each point.  The trapezoid rule on |kernel| is at
+        least the integral of |L|, L the linear interpolant of the samples, and on each
+        interval [a, b] |kernel - L| <= max|kernel''| (t - a)(b - t) / 2, which integrates
+        to max|kernel''| h^3 / 12, with max|kernel''| <= sum_s s^2 |b_s|.  The samples and
+        the sums are off by less than 2 pi floor."""
+        s = np.arange(len(self.b))[:, None]
+        h = np.pi / (16 * len(s))
+        trapezoid = h * (self.mag.sum(axis=1) - (self.mag[:, 0] + self.mag[:, -1]) / 2)
+        return (trapezoid + np.pi * h * h / 12 * np.abs(self.b * s * s).sum(axis=0)
+                + 2 * np.pi * self.floor)
+
+
+def _lambda_blocks(level: VPLevel, xs: np.ndarray) -> Iterator[_KernelSamples]:
+    """The sampling stage of lambda on xs, in blocks of about 2^20 angle samples so that
+    memory does not grow with xs; an empty xs still takes one (empty) block."""
+    step = max(1, (1 << 20) // (16 * (level.n + level.m)))
+    for j in range(0, max(len(xs), 1), step):
+        sections = _kernel_sections(level, xs[j:j + step])
+        s = np.arange(sections.shape[1])[:, None]
+        b = np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI))
+        h = np.pi / (16 * len(s))
+        floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
+        vals = probe_values(sections, 16 * len(s))
+        # a root pair's parabola test allows for the three samples' interpolation error,
+        # max|kernel'''| h^3 / (9 sqrt 3) with max|kernel'''| <= sum_s s^3 |b_s|
+        reach = np.abs(b * s ** 3).sum(axis=0) * h ** 3 / (9 * np.sqrt(3)) + floor
+        # kernel''(0) = -sum_s s^2 b_s, kernel''(pi) = -sum_s (-1)^s s^2 b_s
+        curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])
+        yield _KernelSamples(b, floor, np.signbit(vals), np.abs(vals, out=vals), reach, curv)
+
+
+def _lambda_polish(block: _KernelSamples, points=slice(None)) -> tuple[np.ndarray, int]:
+    """The polish stage of lambda (see _lambda_integral) on the given points of a block, all
+    by default: their integrals, and how many of their roots missed the rule, unwarned."""
+    b, curv = block.b[:, points], block.curv[:, points]
+    floor, neg, mag, reach = (block.floor[points], block.neg[points], block.mag[points],
+                              block.reach[points])
+    s = np.arange(len(b))[:, None]
     size = 16 * len(s)
     h = np.pi / size
-    floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
 
     def newton(k, rows, lo, hi, t, converged, left=None):
         """From t, zeros in [lo, hi] of the k-th angle derivative of the kernel rows, and
@@ -171,8 +239,6 @@ def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
                 break
         return t, live.size
 
-    vals = probe_values(sections, size)
-    neg, mag = np.signbit(vals), np.abs(vals, out=vals)
     rows, cols = np.nonzero(neg[:, :-1] != neg[:, 1:])
     # a local minimum of |kernel| at a sample whose neighbours lie on one side of zero may
     # sit between two roots: hidden in one interval, or straddling the sample, where Newton
@@ -180,11 +246,9 @@ def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     r2, c2 = np.nonzero((mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:])
                         & (neg[:, :-2] == neg[:, 2:]))
     # unless its three-sample parabola stays off zero by more than the interpolation error
-    # max|kernel'''| h^3 / (9 sqrt 3), max|kernel'''| <= sum_s s^3 |b_s|
     p0, p1, p2 = mag[r2, c2], mag[r2, c2 + 1], mag[r2, c2 + 2]
     p1 = np.where(neg[r2, c2 + 1] == neg[r2, c2], p1, -p1)  # signed, the neighbours positive
     vertex = p1 - (p2 - p0) ** 2 / (8 * ((p0 - p1) + (p2 - p1)))
-    reach = np.abs(b * s ** 3).sum(axis=0) * h ** 3 / (9 * np.sqrt(3)) + floor
     r2, c2 = r2[vertex <= reach[r2]], c2[vertex <= reach[r2]]
     ext, _ = newton(1, r2, c2 * h, (c2 + 2) * h, (c2 + 1) * h,
                     lambda val, slope, step, rows: np.abs(step) <= h / 2 ** 26)
@@ -203,9 +267,9 @@ def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     m0, m1 = mag[rows, cols], mag[rows, cols + 1]
     first = (cols + np.divide(m0, m0 + m1, out=np.full_like(m0, 0.5), where=m0 + m1 > 0.0)) * h
     # next to t = 0 or pi, about which the kernel is even, the root of its even quadratic
-    # there, K(end) + K''(end) (t - end)^2 / 2 with K''(end) = -sum_s (+-1)^s s^2 b_s != 0
+    # there, K(end) + K''(end) (t - end)^2 / 2 with K''(end) != 0
     side = (cols == size - 1).astype(int)  # 1 in the bracket that ends at pi, else 0
-    curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])[side, rows]
+    curv = curv[side, rows]
     near = ((cols == 0) | (cols == size - 1)) & (curv > 0.0)
     dist = np.sqrt(2 * mag[rows, side * size][near] / curv[near])
     first[near] = np.where(side[near], np.pi - dist, dist)
@@ -218,7 +282,7 @@ def _lambda_rows(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     anti = b[0, rows] * root + _cosine_sums(b / np.maximum(s, 1), rows, root).imag
     # pieces alternate in sign: F(pi) = b_0 pi as the last piece, 2 F(root) as the left one
     return (np.where(neg[:, -1], -np.pi, np.pi) * b[0]
-            + np.bincount(rows, np.where(left, -2.0, 2.0) * anti, minlength=len(xs))), missed
+            + np.bincount(rows, np.where(left, -2.0, 2.0) * anti, minlength=len(mag))), missed
 
 
 def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -255,7 +319,11 @@ def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
 
 def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                    grid_size: int = 10000) -> LebesgueReport:
-    """Maximum of the Lebesgue function over probe_grid(grid_size)."""
+    """Maximum of the Lebesgue function over probe_grid(grid_size).  For lambda, the
+    16(n+m) angle samples at each probe point bound its integral from above (trapezoid rule
+    plus curvature and roundoff terms), and only the points whose bound reaches the largest
+    exact value found so far get their roots polished; quad_spec's unconverged count covers
+    those points alone."""
     kind = LebesgueKind(kind)
     _check_size(grid_size)
     if grid_size < 1000:
@@ -263,7 +331,7 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
     if kind is LebesgueKind.LAMBDA:
         # the kernel is even under (x, y) -> (-x, -y), so its Lebesgue
         # function is even and half the grid suffices
-        vals, missed = _lambda_integral(level, probe_grid(grid_size)[: grid_size // 2 + 1])
+        value, missed = _lambda_max(level, probe_grid(grid_size)[: grid_size // 2 + 1])
         spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
                 "K^2/|K'| <= 2^-53 or roundoff, at most 8 steps"
                 + (f"; {missed} roots unconverged" if missed else ""))
@@ -277,8 +345,8 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                 else f"exact sum of {level.n} interpolating scaling functions")
         mag = probe_values(rows, grid_size)
         s = np.abs(mag, out=mag)[:half].sum(axis=0)
-        vals = s + s[::-1] + mag[half:].sum(axis=0)  # and the middle row if n is odd
-    return LebesgueReport(kind, level.n, level.m, float(vals.max()), grid_size, spec)
+        value = (s + s[::-1] + mag[half:].sum(axis=0)).max()  # and the middle row if n is odd
+    return LebesgueReport(kind, level.n, level.m, float(value), grid_size, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +407,7 @@ def error_curve(f: Callable, kind: OperatorKind, theta: float,
     """Sup-norm error of the chosen approximant over resolutions n with
     m = floor(theta n); degenerate pairs are skipped with a warning."""
     kind = OperatorKind(kind)
+    _check_size(grid_size)
     out = []
     for level in _sweep_levels(theta, n_list):
         approx = approximant(f, level, kind)

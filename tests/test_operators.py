@@ -5,6 +5,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from oracles import fourier_proj as dense_fourier_proj
 from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp, lebesgue_tables
@@ -356,6 +358,55 @@ def test_lebesgue_integral_starts_newton_at_the_secant_point(monkeypatch):
     assert sum(points) <= 36000
 
 
+@pytest.fixture
+def newton_points(monkeypatch):
+    """How many (value, slope) points each of Newton's kernel sums takes."""
+    points = []
+    sums = operators._cosine_sums
+
+    def counted(coeffs, rows, t):
+        if coeffs.ndim == 3:
+            points.append(len(t))
+        return sums(coeffs, rows, t)
+
+    monkeypatch.setattr(operators, "_cosine_sums", counted)
+    return points
+
+
+def test_lebesgue_fn_starts_newton_at_the_secant_point_at_every_point(newton_points):
+    # the same limit as above on every point of the half grid: lebesgue_const polishes
+    # only the points whose bound can reach the maximum
+    lebesgue_fn(L136, LebesgueKind.LAMBDA, probe_grid(2000)[:1001])
+    assert sum(newton_points) <= 36000
+
+
+def test_lebesgue_const_polishes_only_points_whose_bound_reaches_the_maximum(newton_points):
+    # 34,438 (value, slope) points when every point of the half grid was polished
+    lebesgue_const(L136, LebesgueKind.LAMBDA, 2000)
+    assert sum(newton_points) <= 3000
+
+
+@pytest.mark.parametrize("grid_size", [1000, 1001])
+@pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), L136, VPLevel(22, 19),
+                                   VPLevel(29, 16), VPLevel(41, 20), VPLevel(200, 100)], ids=str)
+def test_lebesgue_const_is_the_largest_integral_on_the_half_grid(level, grid_size):
+    # (200, 100) takes its 501 points in three blocks, and carries the maximum across them;
+    # a point's integral can move by an ulp with the roots that share its kernel sums
+    xs = probe_grid(grid_size)[: grid_size // 2 + 1]
+    assert lebesgue_const(level, LebesgueKind.LAMBDA, grid_size).value == pytest.approx(
+        lebesgue_fn(level, LebesgueKind.LAMBDA, xs).max(), rel=1e-15, abs=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(level=st.integers(2, 40).flatmap(
+           lambda n: st.builds(VPLevel, st.just(n), st.integers(1, n - 1))),
+       grid_size=st.integers(1000, 3000))
+def test_lambda_bound_is_above_the_integral_at_every_probe_point(level, grid_size):
+    xs = probe_grid(grid_size)[: grid_size // 2 + 1]
+    bound = np.concatenate([block.bound() for block in operators._lambda_blocks(level, xs)])
+    assert np.all(bound >= lebesgue_fn(level, LebesgueKind.LAMBDA, xs))
+
+
 def test_lebesgue_interp_is_one_at_nodes():
     vals = lebesgue_fn(L136, LebesgueKind.LAMBDA_BAR, cheb_nodes(13))
     assert_allclose(vals, np.ones(13), rtol=0, atol=1e-11)
@@ -572,8 +623,16 @@ def test_error_curve_raises_for_a_bad_resolution(n):
 
 
 def test_error_curve_refuses_a_grid_size_that_is_not_a_positive_integer():
+    # before it samples f: the first approximant at n = 2000 took 48,000 samples of f
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.sin(x)
+
     with pytest.raises(ValueError, match="grid size must be an integer"):
-        error_curve(np.sin, OperatorKind.VP_INTERP, 0.5, [10], grid_size="10")
+        error_curve(f, OperatorKind.FOURIER_PROJ, 0.5, [2000], grid_size="10")
+    assert calls == []
 
 
 def test_rough_function_operator_ordering():
