@@ -124,20 +124,47 @@ def probe_grid(grid_size: int) -> np.ndarray:
     return np.cos(np.arange(grid_size + 1) * (np.pi / grid_size))
 
 
-def probe_values(coeffs, grid_size: int) -> np.ndarray:
-    """Sum_r c_r p_r on probe_grid(grid_size) along the last axis, by one DCT-I.
-    On the grid p_r = p_{2M-r} = p_{r+2M}, so degrees >= M fold back first.  The DCT-I's
-    halving of the inner terms goes into the weights, on every r not a multiple of M."""
+def _probe_fold(coeffs, grid_size: int) -> np.ndarray:
+    """The DCT-I input of probe_values along the last axis, at most M+1 entries: on the grid
+    p_r = p_{2M-r} = p_{r+2M}, so degrees >= M fold back, and the DCT-I's halving of the
+    inner terms goes into the weights, on every r not a multiple of M.  When no degree
+    exceeds M nothing folds, and the weighted coefficients come back unpadded."""
     _check_size(grid_size)
     c = _last_axis(coeffs)
     r = np.arange(c.shape[-1])
     c = c * (np.where(r == 0, SQRT_1_PI, SQRT_2_PI) * np.where(r % grid_size == 0, 1.0, 0.5))
+    if c.shape[-1] <= grid_size + 1:
+        return c
     a = np.zeros(c.shape[:-1] + (grid_size + 1,))
     for start in range(0, c.shape[-1], 2 * grid_size):
         block = c[..., start:start + 2 * grid_size]
         a[..., :block.shape[-1]] += block[..., :grid_size + 1]
         a[..., 2 * grid_size + 1 - block.shape[-1]:grid_size] += block[..., :grid_size:-1]
-    return scipy.fft.dct(a, type=1, axis=-1, overwrite_x=True)
+    return a
+
+
+def probe_values(coeffs, grid_size: int) -> np.ndarray:
+    """Sum_r c_r p_r on probe_grid(grid_size) along the last axis, by one DCT-I of the
+    folded coefficients (_probe_fold)."""
+    a = _probe_fold(coeffs, grid_size)
+    out = np.zeros(a.shape[:-1] + (grid_size + 1,))
+    out[..., :a.shape[-1]] = a
+    return scipy.fft.dct(out, type=1, axis=-1, overwrite_x=True)
+
+
+def _probe_halves(coeffs, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even- and odd-degree parts E and O of sum_r c_r p_r on the half probe grid
+    x_j = cos(j pi / M), j = 0..M/2, for an even M.  As x_{M-j} = -x_j and p_r(-x) =
+    (-1)^r p_r(x), the sum is E + O at x_j and E - O at x_{M-j}.  E is one DCT-I of the
+    folded even degrees (M/2+1 entries) and O one DCT-II of the odd ones (M/2 entries,
+    as O = 0 at j = M/2).  Both are views of one buffer of M+1 entries per row."""
+    a, half = _probe_fold(coeffs, grid_size), grid_size // 2
+    buf = np.zeros(a.shape[:-1] + (grid_size + 1,))
+    even, odd = buf[..., :half + 1], buf[..., half + 1:]
+    even[..., :(a.shape[-1] + 1) // 2] = a[..., ::2]
+    odd[..., :a.shape[-1] // 2] = a[..., 1::2]
+    return (scipy.fft.dct(even, type=1, axis=-1, overwrite_x=True),
+            scipy.fft.dct(odd, type=2, axis=-1, overwrite_x=True))
 
 
 def sup_error(f, g, grid_size: int = 10000) -> float:

@@ -31,6 +31,7 @@ from .chebyshev import (
     _check_domain,
     _check_size,
     _is_integer,
+    _probe_halves,
     cheb_nodes,
     dct,
     eval_p_table,
@@ -335,7 +336,7 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
                 "K^2/|K'| <= 2^-53 or roundoff, at most 8 steps"
                 + (f"; {missed} roots unconverged" if missed else ""))
-    else:  # basis rows, one DCT-I each: lebesgue_fn is 4-9x slower at M = 10^4, n = 20..170
+    else:  # basis rows on the probe grid: lebesgue_fn is 4-9x slower at M = 10^4, n = 20..170
         # row i is node i's delta through the node map: (pi/n) kernel(x_i, .) for lambda-tilde,
         # interpolating scaling function i for lambda-bar.  As x_{n+1-k} = -x_k and p_r(-x) =
         # (-1)^r p_r(x), row n-1-i is row i read backwards, so only ceil(n/2) rows are built
@@ -343,9 +344,18 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         rows = _from_v(_node_coords(np.eye(level.n - half, level.n), level, not tilde), level)
         spec = (f"exact node sum over {level.n} kernel sections" if tilde
                 else f"exact sum of {level.n} interpolating scaling functions")
-        mag = probe_values(rows, grid_size)
-        s = np.abs(mag, out=mag)[:half].sum(axis=0)
-        value = (s + s[::-1] + mag[half:].sum(axis=0)).max()  # and the middle row if n is odd
+        if grid_size % 2:  # one DCT-I per row on the whole grid
+            mag = probe_values(rows, grid_size)
+            s = np.abs(mag, out=mag)[:half].sum(axis=0)
+            value = (s + s[::-1] + mag[half:].sum(axis=0)).max()  # and the middle row if n is odd
+        else:  # the half grid j = 0..M/2: row i is E + O at x_j and E - O at x_{M-j}, row
+            # n-1-i the reverse, so the pair adds 2 max(|E|, |O|) at both points; the middle
+            # row (n odd) adds |E + O| at one and |E - O| at the other, at most |E| + |O|
+            even, odd = (np.abs(v, out=v) for v in _probe_halves(rows, grid_size))
+            inner = even[:, :-1]
+            np.maximum(inner[:half], odd[:half], out=inner[:half])
+            np.add(inner[half:], odd[half:], out=inner[half:])
+            value = (2 * even[:half].sum(axis=0) + even[half:].sum(axis=0)).max()
     return LebesgueReport(kind, level.n, level.m, float(value), grid_size, spec)
 
 

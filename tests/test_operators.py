@@ -329,6 +329,21 @@ def test_lebesgue_integral_says_when_roots_miss_their_rule(monkeypatch):
     assert str(caught[0].message).startswith(f"lambda: {missed} kernel roots unconverged")
 
 
+@pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
+def test_lebesgue_const_rows_take_one_buffer(kind):
+    # the even and odd parts of the ceil(n/2) rows share one buffer of M+1 entries per row,
+    # transformed and taken absolute in place: no second table of that size
+    level, grid_size = VPLevel(170, 85), 10000
+    lebesgue_const(level, kind, grid_size)  # fill every cache first
+    tracemalloc.start()
+    try:
+        lebesgue_const(level, kind, grid_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (level.n - level.n // 2) * (grid_size + 1) * 8
+
+
 def test_lebesgue_integral_memory_does_not_grow_with_the_points():
     # the probe points go through in row blocks, so 4x the points take no more memory
     def peak(grid_size):
@@ -449,20 +464,23 @@ def test_lebesgue_fn_keeps_the_shape_of_x(kind):
     assert lebesgue_fn(L136, kind, np.array([])).shape == (0,)
 
 
+@pytest.mark.parametrize("grid_size", [2000, 2001])
 @pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
 @pytest.mark.parametrize("level", [L136, L4020, VPLevel(5, 1)])
-def test_lebesgue_fn_reaches_the_constant_on_the_probe_grid(level, kind):
-    # off the grid the function comes from V's coordinates of the p_r(x); the
-    # constant from the basis rows and one DCT-I
-    got = lebesgue_fn(level, kind, probe_grid(2000)).max()
-    assert got == pytest.approx(lebesgue_const(level, kind, 2000).value, rel=1e-14, abs=0)
+def test_lebesgue_fn_reaches_the_constant_on_the_probe_grid(level, kind, grid_size):
+    # off the grid the function comes from V's coordinates of the p_r(x); the constant
+    # from the basis rows, on the half grid's even and odd parts (even M) or whole (odd M)
+    got = lebesgue_fn(level, kind, probe_grid(grid_size)).max()
+    assert got == pytest.approx(lebesgue_const(level, kind, grid_size).value, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("grid_size", [1000, 1001])
 @pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(3, 1), VPLevel(5, 1), L136, L4020,
-                                   VPLevel(41, 20)], ids=str)
+                                   VPLevel(41, 20), VPLevel(400, 200), VPLevel(700, 350)],
+                         ids=str)
 def test_lebesgue_const_matches_the_dense_node_sum_and_interpolant(level, grid_size):
-    # even and odd n: the constant sums mirrored row pairs, plus the middle row if n is odd
+    # even and odd n: the constant sums mirrored row pairs, plus the middle row if n is odd;
+    # the degrees of (400, 200) pass M/2, and those of (700, 350) pass M, so they fold
     tilde, bar = lebesgue_tables(level, grid_size)
     for kind, vals in ((LebesgueKind.LAMBDA_TILDE, tilde), (LebesgueKind.LAMBDA_BAR, bar)):
         got = lebesgue_const(level, kind, grid_size).value
