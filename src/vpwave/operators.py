@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
+import scipy.fft
 
 from .bases import ScalingCoeffs, _from_v, _node_coords, _to_v, _vector, scaling_to_cheb
 from .chebyshev import (
@@ -134,20 +135,15 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _lambda_max(level: VPLevel, xs: np.ndarray) -> tuple[float, int]:
     """The maximum of _lambda_integral over xs (nonempty), and how many roots of the points
-    it polished missed their rule.  The point of the first block with the largest bound (see
-    _KernelSamples.bound) is polished first; after it, block by block, only the points whose
-    bound reaches the largest value polished so far, as no other point can exceed it."""
+    it polished missed their rule.  The point with the largest bound at 4(n+m) samples gives
+    a lower bound on the maximum; only the points whose bound reaches it take 16(n+m), and a
+    block's one polish call takes those that reach it and the largest value so far too."""
+    coarse = np.concatenate([block.bound() for block in _lambda_blocks(level, xs, 4)])
+    lower = next(_lambda_blocks(level, xs[[np.argmax(coarse)]])).lower()[0]
     best, missed = -np.inf, 0
-    for block in _lambda_blocks(level, xs):
-        bound = block.bound()
-        if best == -np.inf:
-            top = int(np.argmax(bound))
-            vals, missed = _lambda_polish(block, [top])
-            best, bound[top] = vals[0], -np.inf
-        rows = np.flatnonzero(bound >= best)
-        if rows.size:
-            vals, count = _lambda_polish(block, rows)
-            best, missed = max(best, vals.max()), missed + count
+    for block in _lambda_blocks(level, xs[coarse >= lower]):
+        vals, count = _lambda_polish(block, np.flatnonzero(block.bound() >= max(lower, best)))
+        best, missed = vals.max(initial=best), missed + count
     _warn_unconverged(missed)
     return float(best), missed
 
@@ -162,8 +158,8 @@ class _KernelSamples(NamedTuple):
     """The sampling stage of lambda on a block of points, a column of b and a row of the
     others per point: the coefficients of kernel(x, cos t) = sum_s b_s cos(s t), the
     roundoff floor of one such sum, the kernel's sign bits and magnitudes at the angles j h,
-    h = pi / (16(n+m)), j = 0..16(n+m), the reach of a root pair's parabola test, and
-    |kernel''| at t = 0 and pi."""
+    h = pi / N, j = 0..N, N = k(n+m) for k samples per degree, the reach of a root pair's
+    parabola test, and |kernel''| at t = 0 and pi."""
 
     b: np.ndarray
     floor: np.ndarray
@@ -173,32 +169,48 @@ class _KernelSamples(NamedTuple):
     curv: np.ndarray
 
     def bound(self) -> np.ndarray:
-        """An upper bound on lambda at each point.  The trapezoid rule on |kernel| is at
-        least the integral of |L|, L the linear interpolant of the samples, and on each
+        """An upper bound on lambda at each point, for any N.  The trapezoid rule on |kernel|
+        is at least the integral of |L|, L the linear interpolant of the samples, and on each
         interval [a, b] |kernel - L| <= max|kernel''| (t - a)(b - t) / 2, which integrates
         to max|kernel''| h^3 / 12, with max|kernel''| <= sum_s s^2 |b_s|.  The samples and
         the sums are off by less than 2 pi floor."""
         s = np.arange(len(self.b))[:, None]
-        h = np.pi / (16 * len(s))
+        h = np.pi / (self.mag.shape[1] - 1)
         trapezoid = h * (self.mag.sum(axis=1) - (self.mag[:, 0] + self.mag[:, -1]) / 2)
         return (trapezoid + np.pi * h * h / 12 * np.abs(self.b * s * s).sum(axis=0)
                 + 2 * np.pi * self.floor)
 
+    def lower(self) -> np.ndarray:
+        """A lower bound on lambda at each point, by the triangle inequality: sum_j
+        |F(t_{j+1}) - F(t_j)|, F(t) = b_0 t + sum_s b_s sin(s t)/s from one DST-I of x_s = b_s/s,
+        less roundoff.  Sample errors e_j move it by at most 2 sqrt(N+1) |e|_2.  The sine sums have
+        2-norm sqrt(N/2) |x|_2, and scipy takes the DST-I as an FFT of length 2N, off by 8 log2(2N)
+        eps of that (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2); b_0 t_j, of
+        2-norm <= pi |b_0| sqrt(N+1), x_s and the sums add 4 eps.  The differences and numpy's
+        pairwise sum lose at most (log2 N + 2) eps of the result."""
+        size, b, eps = self.mag.shape[1] - 1, self.b, np.finfo(float).eps
+        x = b[1:] / np.arange(1, len(b))[:, None]
+        f = np.pad(scipy.fft.dst(x, type=1, n=size - 1, axis=0) / 2, [(1, 1), (0, 0)])
+        f += np.arange(size + 1)[:, None] * (np.pi / size) * b[0]
+        slack = (2 * (size + 1) * (8 * np.log2(2 * size) + 4) * eps
+                 * (np.linalg.norm(x, axis=0) + np.pi * np.abs(b[0])))
+        return np.abs(np.diff(f, axis=0)).sum(axis=0) * (1 - (np.log2(size) + 2) * eps) - slack
 
-def _lambda_blocks(level: VPLevel, xs: np.ndarray) -> Iterator[_KernelSamples]:
-    """The sampling stage of lambda on xs, in blocks of about 2^20 angle samples so that
-    memory does not grow with xs; an empty xs still takes one (empty) block."""
-    step = max(1, (1 << 20) // (16 * (level.n + level.m)))
+
+def _lambda_blocks(level: VPLevel, xs: np.ndarray, k: int = 16) -> Iterator[_KernelSamples]:
+    """The sampling stage of lambda on xs at N = k(n+m), in blocks of about 2^20 angle
+    samples so that memory does not grow with xs; an empty xs still takes one (empty) block."""
+    size = k * (level.n + level.m)
+    step = max(1, (1 << 20) // size)
     for j in range(0, max(len(xs), 1), step):
         sections = _kernel_sections(level, xs[j:j + step])
         s = np.arange(sections.shape[1])[:, None]
         b = np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI))
-        h = np.pi / (16 * len(s))
         floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
-        vals = probe_values(sections, 16 * len(s))
+        vals = probe_values(sections, size)
         # a root pair's parabola test allows for the three samples' interpolation error,
         # max|kernel'''| h^3 / (9 sqrt 3) with max|kernel'''| <= sum_s s^3 |b_s|
-        reach = np.abs(b * s ** 3).sum(axis=0) * h ** 3 / (9 * np.sqrt(3)) + floor
+        reach = np.abs(b * s ** 3).sum(axis=0) * (np.pi / size) ** 3 / (9 * np.sqrt(3)) + floor
         # kernel''(0) = -sum_s s^2 b_s, kernel''(pi) = -sum_s (-1)^s s^2 b_s
         curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])
         yield _KernelSamples(b, floor, np.signbit(vals), np.abs(vals, out=vals), reach, curv)
@@ -320,11 +332,11 @@ def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
 
 def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                    grid_size: int = 10000) -> LebesgueReport:
-    """Maximum of the Lebesgue function over probe_grid(grid_size).  For lambda, the
-    16(n+m) angle samples at each probe point bound its integral from above (trapezoid rule
-    plus curvature and roundoff terms), and only the points whose bound reaches the largest
-    exact value found so far get their roots polished; quad_spec's unconverged count covers
-    those points alone."""
+    """Maximum of the Lebesgue function over probe_grid(grid_size).  For lambda, angle samples
+    bound the integral at each probe point from above (4(n+m), then 16(n+m) at the points
+    that reach a lower bound from F samples at the one with the largest), and only points
+    whose bound reaches that and the largest exact value so far get their roots polished;
+    quad_spec's unconverged count covers those points alone."""
     kind = LebesgueKind(kind)
     _check_size(grid_size)
     if grid_size < 1000:

@@ -395,18 +395,40 @@ def test_lebesgue_fn_starts_newton_at_the_secant_point_at_every_point(newton_poi
     assert sum(newton_points) <= 36000
 
 
-def test_lebesgue_const_polishes_only_points_whose_bound_reaches_the_maximum(newton_points):
-    # 34,438 (value, slope) points when every point of the half grid was polished
+def test_lebesgue_const_polishes_only_points_whose_bound_reaches_the_maximum(newton_points,
+                                                                            monkeypatch):
+    # 34,438 (value, slope) points when every point of the half grid was polished.  4(n+m)
+    # samples bound every point, the lower bound at the one with the largest bound drops most
+    # of them, and the rest take 16(n+m) samples in one block and one polish call
+    sampled, polished = [], []
+    blocks, polish = operators._lambda_blocks, operators._lambda_polish
+
+    def counted_blocks(level, xs, k=16):
+        sampled.append((k, len(xs)))
+        return blocks(level, xs, k)
+
+    def counted_polish(block, points=slice(None)):
+        polished.append(points)
+        return polish(block, points)
+
+    monkeypatch.setattr(operators, "_lambda_blocks", counted_blocks)
+    monkeypatch.setattr(operators, "_lambda_polish", counted_polish)
     lebesgue_const(L136, LebesgueKind.LAMBDA, 2000)
     assert sum(newton_points) <= 3000
+    assert sampled[0] == (4, 1001)
+    assert sum(points for k, points in sampled if k == 16) < 1001 / 2
+    assert len(polished) == 1
 
 
 @pytest.mark.parametrize("grid_size", [1000, 1001])
-@pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), L136, VPLevel(22, 19),
-                                   VPLevel(29, 16), VPLevel(41, 20), VPLevel(200, 100)], ids=str)
+@pytest.mark.parametrize("level", [VPLevel(2, 1), VPLevel(5, 1), VPLevel(11, 5), VPLevel(12, 6),
+                                   L136, VPLevel(22, 19), VPLevel(29, 16), VPLevel(41, 20),
+                                   VPLevel(200, 100)], ids=str)
 def test_lebesgue_const_is_the_largest_integral_on_the_half_grid(level, grid_size):
     # (200, 100) takes its 501 points in three blocks, and carries the maximum across them;
-    # a point's integral can move by an ulp with the roots that share its kernel sums
+    # the seed point, with the largest coarse bound, is far from the maximum at (11, 5) and
+    # (12, 6): points 319 and 291 against 500 and 458 at M = 1000.  A point's integral can
+    # move by an ulp with the roots that share its kernel sums
     xs = probe_grid(grid_size)[: grid_size // 2 + 1]
     assert lebesgue_const(level, LebesgueKind.LAMBDA, grid_size).value == pytest.approx(
         lebesgue_fn(level, LebesgueKind.LAMBDA, xs).max(), rel=1e-15, abs=0)
@@ -417,9 +439,14 @@ def test_lebesgue_const_is_the_largest_integral_on_the_half_grid(level, grid_siz
            lambda n: st.builds(VPLevel, st.just(n), st.integers(1, n - 1))),
        grid_size=st.integers(1000, 3000))
 def test_lambda_bound_is_above_the_integral_at_every_probe_point(level, grid_size):
+    # the upper bounds from 16(n+m) and 4(n+m) samples, and the lower bound from F samples
     xs = probe_grid(grid_size)[: grid_size // 2 + 1]
-    bound = np.concatenate([block.bound() for block in operators._lambda_blocks(level, xs)])
-    assert np.all(bound >= lebesgue_fn(level, LebesgueKind.LAMBDA, xs))
+    lam = lebesgue_fn(level, LebesgueKind.LAMBDA, xs)
+    for k in (16, 4):
+        bound = np.concatenate([block.bound() for block in operators._lambda_blocks(level, xs, k)])
+        assert np.all(bound >= lam), k
+    lower = np.concatenate([block.lower() for block in operators._lambda_blocks(level, xs)])
+    assert np.all(lower <= lam)
 
 
 def test_lebesgue_interp_is_one_at_nodes():
