@@ -149,7 +149,7 @@ def cmd_reconstruct(args) -> int:
     try:
         with open(args.pyramid) as fh:
             decomp = pyramid_from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text
         raise PyramidError(f"cannot read pyramid file {args.pyramid!r}: {exc}") from exc
     top = reconstruct_multi(decomp)
     again = redecompose(top, decomp)

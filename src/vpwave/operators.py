@@ -20,7 +20,7 @@ grid, and sup-norm error sweeps over resolution levels.
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.fft
@@ -113,9 +113,77 @@ def vp_interp(samples, level: VPLevel) -> np.ndarray:
 # Lebesgue functions and constants
 # ---------------------------------------------------------------------------
 
-def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integral Lebesgue function int_0^pi |kernel(x, cos t)| dt at the points xs, and how
-    many kernel roots missed their stopping rule (a RuntimeWarning names the count).
+def _lambda_max(level: VPLevel, xs: np.ndarray) -> tuple[float, int]:
+    """The maximum of lambda over xs (nonempty), and how many roots of the points it polished
+    missed their rule.  The point with the largest _lambda_bound at 4(n+m) samples gives a
+    _lambda_lower on the maximum; only the points whose bound reaches it take 16(n+m), and a
+    block's one _lambda_polish call takes those that reach it and the largest value so far too."""
+    coarse = np.concatenate([_lambda_bound(b, vals) for b, vals in _lambda_blocks(level, xs, 4)])
+    lower = _lambda_lower(*next(_lambda_blocks(level, xs[[np.argmax(coarse)]])))[0]
+    best, missed = -np.inf, 0
+    for b, vals in _lambda_blocks(level, xs[coarse >= lower]):
+        top = _lambda_bound(b, vals) >= max(lower, best)
+        part, count = _lambda_polish(b[:, top], vals[top])
+        best, missed = part.max(initial=best), missed + count
+    return float(best), missed
+
+
+def _warn_unconverged(missed: int) -> None:
+    if missed:
+        warnings.warn(f"lambda: {missed} kernel roots unconverged after 8 Newton steps",
+                      RuntimeWarning, stacklevel=3)
+
+
+def _lambda_blocks(level: VPLevel, xs: np.ndarray, k: int = 16) -> Iterator[tuple]:
+    """The sampling stage of lambda on xs, in blocks of about 2^20 angle samples so that memory
+    does not grow with xs (an empty xs still takes one, empty, block).  A block is (b, vals):
+    the coefficients of kernel(x, cos t) = sum_s b_s cos(s t), a column per point, and the
+    kernel at the angles j h, h = pi / N, j = 0..N, N = k(n+m), a row per point."""
+    size = k * (level.n + level.m)
+    step = max(1, (1 << 20) // size)
+    for j in range(0, max(len(xs), 1), step):
+        sections = _kernel_sections(level, xs[j:j + step])
+        s = np.arange(sections.shape[1])[:, None]
+        yield (np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI)),
+               probe_values(sections, size))
+
+
+def _lambda_bound(b: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """An upper bound on lambda at each point of a block, for any N.  The trapezoid rule on
+    |kernel| is at least the integral of |L|, L the linear interpolant of the samples, and on
+    each interval [a, b] |kernel - L| <= max|kernel''| (t - a)(b - t) / 2, which integrates to
+    max|kernel''| h^3 / 12, with max|kernel''| <= sum_s s^2 |b_s|.  The samples and the sums
+    are off by less than 2 pi times the roundoff floor of one sum, (n+m) eps sum_s |b_s|."""
+    s = np.arange(len(b))[:, None]
+    h = np.pi / (vals.shape[1] - 1)
+    total = np.zeros(len(vals))
+    for j in range(0, len(vals), 64):  # |vals| 64 rows at a time: a whole-table copy page-faults
+        total[j:j + 64] = np.abs(vals[j:j + 64]).sum(axis=1)
+    trapezoid = h * (total - (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / 2)
+    return (trapezoid + np.pi * h * h / 12 * np.abs(b * s * s).sum(axis=0)
+            + 2 * np.pi * (len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)))
+
+
+def _lambda_lower(b: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """A lower bound on lambda at each point of a block, by the triangle inequality: sum_j
+    |F(t_{j+1}) - F(t_j)|, F(t) = b_0 t + sum_s b_s sin(s t)/s from one DST-I of x_s = b_s/s,
+    less roundoff.  Sample errors e_j move it by at most 2 sqrt(N+1) |e|_2.  The sine sums have
+    2-norm sqrt(N/2) |x|_2, and scipy takes the DST-I as an FFT of length 2N, off by 8 log2(2N)
+    eps of that (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2); b_0 t_j, of
+    2-norm <= pi |b_0| sqrt(N+1), x_s and the sums add 4 eps.  The differences and numpy's
+    pairwise sum lose at most (log2 N + 2) eps of the result."""
+    size, eps = vals.shape[1] - 1, np.finfo(float).eps
+    x = b[1:] / np.arange(1, len(b))[:, None]
+    f = np.pad(scipy.fft.dst(x, type=1, n=size - 1, axis=0) / 2, [(1, 1), (0, 0)])
+    f += np.arange(size + 1)[:, None] * (np.pi / size) * b[0]
+    slack = (2 * (size + 1) * (8 * np.log2(2 * size) + 4) * eps
+             * (np.linalg.norm(x, axis=0) + np.pi * np.abs(b[0])))
+    return np.abs(np.diff(f, axis=0)).sum(axis=0) * (1 - (np.log2(size) + 2) * eps) - slack
+
+
+def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
+    """The polish stage of lambda = int_0^pi |kernel(x, cos t)| dt on a block at 16(n+m)
+    samples, or on some of its points, and how many kernel roots missed their rule, unwarned.
 
     kernel(x, cos t) = sum_s b_s cos(s t).  Its roots are bracketed by sign changes on
     16(n+m) angle intervals; a pair inside one interval, or straddling one sample, leaves a
@@ -127,104 +195,16 @@ def _lambda_integral(level: VPLevel, xs: np.ndarray) -> tuple[np.ndarray, int]:
     the kernel is even, at the root of the kernel's even quadratic about that end.  Between
     roots |kernel| integrates exactly to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
     """
-    parts = [_lambda_polish(block) for block in _lambda_blocks(level, xs)]
-    missed = sum(count for _, count in parts)
-    _warn_unconverged(missed)
-    return np.concatenate([vals for vals, _ in parts]), missed
-
-
-def _lambda_max(level: VPLevel, xs: np.ndarray) -> tuple[float, int]:
-    """The maximum of _lambda_integral over xs (nonempty), and how many roots of the points
-    it polished missed their rule.  The point with the largest bound at 4(n+m) samples gives
-    a lower bound on the maximum; only the points whose bound reaches it take 16(n+m), and a
-    block's one polish call takes those that reach it and the largest value so far too."""
-    coarse = np.concatenate([block.bound() for block in _lambda_blocks(level, xs, 4)])
-    lower = next(_lambda_blocks(level, xs[[np.argmax(coarse)]])).lower()[0]
-    best, missed = -np.inf, 0
-    for block in _lambda_blocks(level, xs[coarse >= lower]):
-        vals, count = _lambda_polish(block, np.flatnonzero(block.bound() >= max(lower, best)))
-        best, missed = vals.max(initial=best), missed + count
-    _warn_unconverged(missed)
-    return float(best), missed
-
-
-def _warn_unconverged(missed: int) -> None:
-    if missed:
-        warnings.warn(f"lambda: {missed} kernel roots unconverged after 8 Newton steps",
-                      RuntimeWarning, stacklevel=4)
-
-
-class _KernelSamples(NamedTuple):
-    """The sampling stage of lambda on a block of points, a column of b and a row of the
-    others per point: the coefficients of kernel(x, cos t) = sum_s b_s cos(s t), the
-    roundoff floor of one such sum, the kernel's sign bits and magnitudes at the angles j h,
-    h = pi / N, j = 0..N, N = k(n+m) for k samples per degree, the reach of a root pair's
-    parabola test, and |kernel''| at t = 0 and pi."""
-
-    b: np.ndarray
-    floor: np.ndarray
-    neg: np.ndarray
-    mag: np.ndarray
-    reach: np.ndarray
-    curv: np.ndarray
-
-    def bound(self) -> np.ndarray:
-        """An upper bound on lambda at each point, for any N.  The trapezoid rule on |kernel|
-        is at least the integral of |L|, L the linear interpolant of the samples, and on each
-        interval [a, b] |kernel - L| <= max|kernel''| (t - a)(b - t) / 2, which integrates
-        to max|kernel''| h^3 / 12, with max|kernel''| <= sum_s s^2 |b_s|.  The samples and
-        the sums are off by less than 2 pi floor."""
-        s = np.arange(len(self.b))[:, None]
-        h = np.pi / (self.mag.shape[1] - 1)
-        trapezoid = h * (self.mag.sum(axis=1) - (self.mag[:, 0] + self.mag[:, -1]) / 2)
-        return (trapezoid + np.pi * h * h / 12 * np.abs(self.b * s * s).sum(axis=0)
-                + 2 * np.pi * self.floor)
-
-    def lower(self) -> np.ndarray:
-        """A lower bound on lambda at each point, by the triangle inequality: sum_j
-        |F(t_{j+1}) - F(t_j)|, F(t) = b_0 t + sum_s b_s sin(s t)/s from one DST-I of x_s = b_s/s,
-        less roundoff.  Sample errors e_j move it by at most 2 sqrt(N+1) |e|_2.  The sine sums have
-        2-norm sqrt(N/2) |x|_2, and scipy takes the DST-I as an FFT of length 2N, off by 8 log2(2N)
-        eps of that (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2); b_0 t_j, of
-        2-norm <= pi |b_0| sqrt(N+1), x_s and the sums add 4 eps.  The differences and numpy's
-        pairwise sum lose at most (log2 N + 2) eps of the result."""
-        size, b, eps = self.mag.shape[1] - 1, self.b, np.finfo(float).eps
-        x = b[1:] / np.arange(1, len(b))[:, None]
-        f = np.pad(scipy.fft.dst(x, type=1, n=size - 1, axis=0) / 2, [(1, 1), (0, 0)])
-        f += np.arange(size + 1)[:, None] * (np.pi / size) * b[0]
-        slack = (2 * (size + 1) * (8 * np.log2(2 * size) + 4) * eps
-                 * (np.linalg.norm(x, axis=0) + np.pi * np.abs(b[0])))
-        return np.abs(np.diff(f, axis=0)).sum(axis=0) * (1 - (np.log2(size) + 2) * eps) - slack
-
-
-def _lambda_blocks(level: VPLevel, xs: np.ndarray, k: int = 16) -> Iterator[_KernelSamples]:
-    """The sampling stage of lambda on xs at N = k(n+m), in blocks of about 2^20 angle
-    samples so that memory does not grow with xs; an empty xs still takes one (empty) block."""
-    size = k * (level.n + level.m)
-    step = max(1, (1 << 20) // size)
-    for j in range(0, max(len(xs), 1), step):
-        sections = _kernel_sections(level, xs[j:j + step])
-        s = np.arange(sections.shape[1])[:, None]
-        b = np.ascontiguousarray(sections.T * np.where(s == 0, SQRT_1_PI, SQRT_2_PI))
-        floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
-        vals = probe_values(sections, size)
-        # a root pair's parabola test allows for the three samples' interpolation error,
-        # max|kernel'''| h^3 / (9 sqrt 3) with max|kernel'''| <= sum_s s^3 |b_s|
-        reach = np.abs(b * s ** 3).sum(axis=0) * (np.pi / size) ** 3 / (9 * np.sqrt(3)) + floor
-        # kernel''(0) = -sum_s s^2 b_s, kernel''(pi) = -sum_s (-1)^s s^2 b_s
-        curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])
-        yield _KernelSamples(b, floor, np.signbit(vals), np.abs(vals, out=vals), reach, curv)
-
-
-def _lambda_polish(block: _KernelSamples, points=slice(None)) -> tuple[np.ndarray, int]:
-    """The polish stage of lambda (see _lambda_integral) on the given points of a block, all
-    by default: their integrals, and how many of their roots missed the rule, unwarned."""
-    b, curv = block.b[:, points], block.curv[:, points]
-    floor, neg, mag, reach = (block.floor[points], block.neg[points], block.mag[points],
-                              block.reach[points])
     s = np.arange(len(b))[:, None]
     size = 16 * len(s)
     h = np.pi / size
+    floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
+    neg, mag = np.signbit(vals), np.abs(vals, out=vals)  # overwrites vals, which callers drop
+    # a root pair's parabola test allows for the three samples' interpolation error,
+    # max|kernel'''| h^3 / (9 sqrt 3) with max|kernel'''| <= sum_s s^3 |b_s|
+    reach = np.abs(b * s ** 3).sum(axis=0) * h ** 3 / (9 * np.sqrt(3)) + floor
+    # kernel''(0) = -sum_s s^2 b_s, kernel''(pi) = -sum_s (-1)^s s^2 b_s
+    curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])
 
     def newton(k, rows, lo, hi, t, converged, left=None):
         """From t, zeros in [lo, hi] of the k-th angle derivative of the kernel rows, and
@@ -321,7 +301,9 @@ def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
     kind = LebesgueKind(kind)
     xs = np.asarray(x, dtype=float).ravel()
     if kind is LebesgueKind.LAMBDA:
-        vals, _ = _lambda_integral(level, xs)
+        vals, counts = zip(*[_lambda_polish(*block) for block in _lambda_blocks(level, xs)])
+        _warn_unconverged(sum(counts))
+        vals = np.concatenate(vals)
     else:
         c = _to_v(eval_p_table(np.arange(level.n + level.m), xs).T, level)
         scale_norms(c, level, inverse=kind is LebesgueKind.LAMBDA_TILDE)
@@ -345,6 +327,7 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         # the kernel is even under (x, y) -> (-x, -y), so its Lebesgue
         # function is even and half the grid suffices
         value, missed = _lambda_max(level, probe_grid(grid_size)[: grid_size // 2 + 1])
+        _warn_unconverged(missed)
         spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
                 "K^2/|K'| <= 2^-53 or roundoff, at most 8 steps"
                 + (f"; {missed} roots unconverged" if missed else ""))

@@ -77,6 +77,24 @@ def test_sweep_skips_degenerate_levels_and_exits_2_when_none_is_left(tmp_path, c
     assert [line.split(",")[1:3] for line in out.read_text().splitlines()[1:]] == [["20", "1"]]
 
 
+@pytest.mark.parametrize("n", ["5:0:10", "10:1:5"])
+def test_sweep_refuses_a_bad_range(tmp_path, capsys, n):
+    # a step below 1 or a stop before the start
+    out = tmp_path / "e.csv"
+    code = main(["error", "--f", "sin", "--op", "vp", "--theta", "0.5", "--n", n,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: bad range {n!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_abs03_is_zero_at_zero():
+    x = np.array([-1.0, -0.5, 0.0, 0.25, 1.0])
+    vals = get_function("abs03")(x)
+    assert vals[2] == 0.0
+    assert vals.tolist() == pytest.approx([1.0, 0.5 ** 0.3, 0.0, 0.25 ** 0.3, 1.0], rel=1e-15)
+
+
 def test_error_command_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["error", "--f", "runge", "--op", "fourier", "--theta", "0.3,0.7",
@@ -177,6 +195,17 @@ def test_decompose_malformed_samples(tmp_path):
         assert not (tmp_path / "x.json").exists()
 
 
+def test_decompose_empty_sample_file(tmp_path, capsys):
+    sfile = tmp_path / "empty.csv"
+    sfile.write_text("\n \n")
+    out = tmp_path / "x.json"
+    code = main(["decompose", "--samples", str(sfile), "--n0", "5", "--levels", "0",
+                 "--theta", "0.5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: sample file {str(sfile)!r} is empty\n"
+    assert not out.exists()
+
+
 def test_decompose_too_large_to_allocate_exits_2(tmp_path, capsys):
     # 64 * 3^30 samples: the first array cannot be allocated at all (93 PiB)
     out = tmp_path / "x.json"
@@ -237,6 +266,20 @@ def test_reconstruct_malformed_json(tmp_path):
         code = main(["reconstruct", "--pyramid", str(pyr), "--out", str(tmp_path / "r.csv")])
         assert code == 3
         assert not (tmp_path / "r.csv").exists()
+
+
+def test_reconstruct_unreadable_pyramid_exits_3(tmp_path, capsys):
+    # a missing file, a directory, and a file that is not UTF-8 text
+    binary = tmp_path / "utf16.json"
+    binary.write_bytes('{"theta": 0.5}'.encode("utf-16"))
+    out = tmp_path / "r.csv"
+    for path in (tmp_path / "missing.json", tmp_path, binary):
+        code = main(["reconstruct", "--pyramid", str(path), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read pyramid file {str(path)!r}: ")
+        assert not out.exists()
+    assert "'utf-8' codec can't decode byte 0xff" in err  # the UTF-16 file's byte order mark
 
 
 def test_reconstruct_overflowing_samples_exit_2(tmp_path, capsys):

@@ -292,6 +292,13 @@ def test_redecompose_refuses_a_top_with_another_m(m):
         redecompose(top, decomp)
 
 
+def test_redecompose_refuses_a_top_of_another_size():
+    decomp = decompose_multi(np.sin(cheb_nodes(45)), 5, 2, 0.5)
+    top = ScalingCoeffs(VPLevel(15, 2), np.ones(15))
+    with pytest.raises(PyramidError, match="top coefficients at n=15, pyramid expects 45"):
+        redecompose(top, decomp)
+
+
 def test_zeroed_details_reproduce_base_at_top_level():
     rng = np.random.default_rng(11)
     decomp = decompose_multi(rng.standard_normal(45), 5, 2, 0.5)

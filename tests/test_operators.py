@@ -311,22 +311,35 @@ def test_lebesgue_integral_at_roots_next_to_an_end(n, m, row):
 
 
 def test_lebesgue_integral_says_when_roots_miss_their_rule(monkeypatch):
-    # kernel sums that never settle leave every root short of its stopping rule
+    # kernel sums that never settle leave every root short of its stopping rule; the one
+    # warning names the line that called lebesgue_fn or lebesgue_const
     rng = np.random.default_rng(10)
     sums = operators._cosine_sums
     monkeypatch.setattr(operators, "_cosine_sums",
                         lambda c, r, t: sums(c, r, t) + 1e-6 * rng.standard_normal(t.shape))
-    with pytest.warns(RuntimeWarning, match=r"\d+ kernel roots unconverged after 8 Newton"):
+    with pytest.warns(RuntimeWarning, match=r"\d+ kernel roots unconverged after 8 Newton") as rec:
         lebesgue_fn(L136, LebesgueKind.LAMBDA, 0.3)
-    with pytest.warns(RuntimeWarning, match="unconverged"):
+    assert [w.filename for w in rec] == [__file__]
+    with pytest.warns(RuntimeWarning, match="unconverged") as rec:
         spec = lebesgue_const(L136, LebesgueKind.LAMBDA, 1000).quad_spec
+    assert [w.filename for w in rec] == [__file__]
     assert re.search(r"; [1-9]\d* roots unconverged$", spec)
     # 20001 points take 6 blocks of rows, and still raise one warning with the total
+    counts, polish = [], operators._lambda_polish
+
+    def counted_polish(b, vals):
+        part, count = polish(b, vals)
+        counts.append(count)
+        return part, count
+
+    monkeypatch.setattr(operators, "_lambda_polish", counted_polish)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, missed = operators._lambda_integral(L136, probe_grid(20000))
+        lebesgue_fn(L136, LebesgueKind.LAMBDA, probe_grid(20000))
+    assert len(counts) == 6
     assert [type(w.message) for w in caught] == [RuntimeWarning]
-    assert str(caught[0].message).startswith(f"lambda: {missed} kernel roots unconverged")
+    assert str(caught[0].message).startswith(f"lambda: {sum(counts)} kernel roots unconverged")
+    assert caught[0].filename == __file__
 
 
 @pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
@@ -357,22 +370,6 @@ def test_lebesgue_integral_memory_does_not_grow_with_the_points():
     assert peak(12000) / peak(3000) < 1.5  # 3.4 when the whole table was built at once
 
 
-def test_lebesgue_integral_starts_newton_at_the_secant_point(monkeypatch):
-    # from the secant point most roots meet their rule at the second or third evaluation;
-    # from the bracket midpoints the same call took 43,970 (value, slope) points
-    points = []
-    sums = operators._cosine_sums
-
-    def counted(coeffs, rows, t):
-        if coeffs.ndim == 3:
-            points.append(len(t))
-        return sums(coeffs, rows, t)
-
-    monkeypatch.setattr(operators, "_cosine_sums", counted)
-    lebesgue_const(L136, LebesgueKind.LAMBDA, 2000)
-    assert sum(points) <= 36000
-
-
 @pytest.fixture
 def newton_points(monkeypatch):
     """How many (value, slope) points each of Newton's kernel sums takes."""
@@ -386,6 +383,13 @@ def newton_points(monkeypatch):
 
     monkeypatch.setattr(operators, "_cosine_sums", counted)
     return points
+
+
+def test_lebesgue_integral_starts_newton_at_the_secant_point(newton_points):
+    # from the secant point most roots meet their rule at the second or third evaluation;
+    # from the bracket midpoints the same call took 43,970 (value, slope) points
+    lebesgue_const(L136, LebesgueKind.LAMBDA, 2000)
+    assert sum(newton_points) <= 36000
 
 
 def test_lebesgue_fn_starts_newton_at_the_secant_point_at_every_point(newton_points):
@@ -407,9 +411,9 @@ def test_lebesgue_const_polishes_only_points_whose_bound_reaches_the_maximum(new
         sampled.append((k, len(xs)))
         return blocks(level, xs, k)
 
-    def counted_polish(block, points=slice(None)):
-        polished.append(points)
-        return polish(block, points)
+    def counted_polish(b, vals):
+        polished.append(len(vals))
+        return polish(b, vals)
 
     monkeypatch.setattr(operators, "_lambda_blocks", counted_blocks)
     monkeypatch.setattr(operators, "_lambda_polish", counted_polish)
@@ -443,9 +447,11 @@ def test_lambda_bound_is_above_the_integral_at_every_probe_point(level, grid_siz
     xs = probe_grid(grid_size)[: grid_size // 2 + 1]
     lam = lebesgue_fn(level, LebesgueKind.LAMBDA, xs)
     for k in (16, 4):
-        bound = np.concatenate([block.bound() for block in operators._lambda_blocks(level, xs, k)])
+        bound = np.concatenate([operators._lambda_bound(b, vals)
+                                for b, vals in operators._lambda_blocks(level, xs, k)])
         assert np.all(bound >= lam), k
-    lower = np.concatenate([block.lower() for block in operators._lambda_blocks(level, xs)])
+    lower = np.concatenate([operators._lambda_lower(b, vals)
+                            for b, vals in operators._lambda_blocks(level, xs)])
     assert np.all(lower <= lam)
 
 
@@ -573,6 +579,13 @@ def test_kinds_accept_their_string_values():
         lebesgue_fn(L136, "nonsense", 0.5)
     with pytest.raises(ValueError):
         error_curve(np.sin, "nonsense", 0.5, [12], 1000)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.5])
+def test_error_curve_refuses_a_theta_outside_the_unit_interval(theta):
+    # without the check every level would be skipped as degenerate, with a warning
+    with pytest.raises(ValueError, match="theta must lie in"):
+        error_curve(np.sin, "vp", theta, [10])
 
 
 def test_lebesgue_conjecture_integral_below_node_sum():
