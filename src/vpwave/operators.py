@@ -182,21 +182,23 @@ def _lambda_lower(b: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
-    """The polish stage of lambda = int_0^pi |kernel(x, cos t)| dt on a block at 16(n+m)
-    samples, or on some of its points, and how many kernel roots missed their rule, unwarned.
+    """The polish stage of lambda = int_0^pi |kernel(x, cos t)| dt on a block, h = pi / N read
+    from its N+1 samples, or on some of its points, and how many kernel roots missed their
+    rule, unwarned.  Both callers take _lambda_blocks' default N: at 4(n+m) a pair can slip by.
 
-    kernel(x, cos t) = sum_s b_s cos(s t).  Its roots are bracketed by sign changes on
-    16(n+m) angle intervals; a pair inside one interval, or straddling one sample, leaves a
-    local minimum of |kernel| there and is split at the kernel's extremum.  Newton's method,
-    kept in each bracket by bisection, polishes a root for at most 8 steps, until
-    kernel^2/|kernel'| <= 2^-53 (a root off by kernel/kernel' moves the integral by about
-    that, and the integral's scale is pi b_0 = 1) or |kernel| is at the roundoff of its sum.
-    A simple bracket starts Newton at its secant point, or next to t = 0 or pi, about which
-    the kernel is even, at the root of the kernel's even quadratic about that end.  Between
-    roots |kernel| integrates exactly to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
+    kernel(x, cos t) = sum_s b_s cos(s t).  Its roots are bracketed by sign changes on the
+    N angle intervals; a pair inside one interval, or straddling one sample, leaves a local
+    minimum of |kernel| there and is split at the kernel's extremum.  Newton's method, kept
+    in each bracket by bisection, finds that extremum inside the two intervals next to the
+    sample, and polishes a root for at most 8 steps, until kernel^2/|kernel'| <= 2^-53 (a
+    root off by kernel/kernel' moves the integral by about that, and the integral's scale is
+    pi b_0 = 1) or |kernel| is at the roundoff of its sum.  A simple bracket starts Newton at
+    its secant point, or next to t = 0 or pi, about which the kernel is even, at the root of
+    the kernel's even quadratic about that end.  Between roots |kernel| integrates exactly
+    to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
     """
     s = np.arange(len(b))[:, None]
-    size = 16 * len(s)
+    size = vals.shape[1] - 1
     h = np.pi / size
     floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
     neg, mag = np.signbit(vals), np.abs(vals, out=vals)  # overwrites vals, which callers drop
@@ -206,11 +208,11 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     # kernel''(0) = -sum_s s^2 b_s, kernel''(pi) = -sum_s (-1)^s s^2 b_s
     curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])
 
-    def newton(k, rows, lo, hi, t, converged, left=None):
-        """From t, zeros in [lo, hi] of the k-th angle derivative of the kernel rows, and
-        how many points missed converged(value, slope, step, rows) in 8 steps.  A step that
-        leaves [lo, hi] is clipped to it; given left, the sign bit at lo, the bracket shrinks
-        to the sign change instead and a step that leaves it bisects it."""
+    def newton(k, rows, lo, hi, t, left, converged):
+        """From t, zeros in [lo, hi] of the k-th angle derivative of the kernel rows, whose
+        sign bit at lo is left, and how many points missed converged(value, slope, step,
+        rows) in 8 steps.  The bracket shrinks to the sign change, a step that leaves it is
+        clipped to it, and a step stuck at its end bisects it instead."""
         pair = np.stack([b * (1j * s) ** k, b * (1j * s) ** (k + 1)], axis=1)
         live = np.arange(len(t))
         for _ in range(8):
@@ -218,21 +220,17 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
             val, slope = _cosine_sums(pair, rows[live], at).real
             step = np.divide(val, slope, out=np.zeros_like(val), where=slope != 0.0)
             done = converged(val, slope, step, rows[live])
-            new = at - step
-            if left is not None:  # the bracket shrinks to the sign change
-                right = np.signbit(val) == left[live]  # the zero lies right of t
-                lo[live[right]], hi[live[~right]] = at[right], at[~right]
-            np.clip(new, lo[live], hi[live], out=new)
-            if left is not None:  # and a step stuck at its end bisects it instead
-                stuck = np.flatnonzero((new == at) & ~done)
-                new[stuck] = (lo[live[stuck]] + hi[live[stuck]]) / 2
+            right = np.signbit(val) == left[live]  # the zero lies right of t
+            lo[live[right]], hi[live[~right]] = at[right], at[~right]
+            new = np.clip(at - step, lo[live], hi[live])
+            stuck = np.flatnonzero((new == at) & ~done)
+            new[stuck] = (lo[live[stuck]] + hi[live[stuck]]) / 2
             t[live] = new
             live = live[~done]
             if not live.size:
                 break
         return t, live.size
 
-    rows, cols = np.nonzero(neg[:, :-1] != neg[:, 1:])
     # a local minimum of |kernel| at a sample whose neighbours lie on one side of zero may
     # sit between two roots: hidden in one interval, or straddling the sample, where Newton
     # from the midpoints would only converge linearly until it resolves the pair
@@ -243,15 +241,16 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     p1 = np.where(neg[r2, c2 + 1] == neg[r2, c2], p1, -p1)  # signed, the neighbours positive
     vertex = p1 - (p2 - p0) ** 2 / (8 * ((p0 - p1) + (p2 - p1)))
     r2, c2 = r2[vertex <= reach[r2]], c2[vertex <= reach[r2]]
-    ext, _ = newton(1, r2, c2 * h, (c2 + 2) * h, (c2 + 1) * h,
+    # |kernel| falls from sample c2 toward its minimum, so kernel' there has the other sign
+    ext, _ = newton(1, r2, c2 * h, (c2 + 2) * h, (c2 + 1) * h, ~neg[r2, c2],
                     lambda val, slope, step, rows: np.abs(step) <= h / 2 ** 26)
     depth = _cosine_sums(b, r2, ext).real
     cross = np.signbit(depth) != neg[r2, c2]
     r2, c2, ext, depth = r2[cross], c2[cross], ext[cross], depth[cross]
     # a pair is split at the extremum; a straddling one leaves its two sign changes
-    straddle = (r2 * size + c2)[neg[r2, c2 + 1] != neg[r2, c2]]
-    keep = ~np.isin(rows * size + cols, np.concatenate([straddle, straddle + 1]))
-    rows, cols = rows[keep], cols[keep]
+    change = neg[:, :-1] != neg[:, 1:]
+    change[r2, c2] = change[r2, c2 + 1] = False
+    rows, cols = np.nonzero(change)
     half = np.sqrt(np.abs(2 * depth / _cosine_sums(b * s * s, r2, ext).real))
     left = np.concatenate([neg[rows, cols], neg[r2, c2], ~neg[r2, c2]])
     lo = np.concatenate([cols * h, c2 * h, ext])
@@ -268,10 +267,9 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     first[near] = np.where(side[near], np.pi - dist, dist)
     start = np.concatenate([first, ext - half, ext + half])
     rows = np.concatenate([rows, r2, r2])
-    root, missed = newton(0, rows, lo, hi, np.clip(start, lo, hi),
+    root, missed = newton(0, rows, lo, hi, np.clip(start, lo, hi), left,
                           lambda val, slope, step, rows: ((val * val <= np.abs(slope) / 2 ** 53)
-                                                         | (np.abs(val) <= floor[rows])),
-                          left)
+                                                         | (np.abs(val) <= floor[rows])))
     anti = b[0, rows] * root + _cosine_sums(b / np.maximum(s, 1), rows, root).imag
     # pieces alternate in sign: F(pi) = b_0 pi as the last piece, 2 F(root) as the left one
     return (np.where(neg[:, -1], -np.pi, np.pi) * b[0]

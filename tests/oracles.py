@@ -205,22 +205,36 @@ def analysis_matrices(level) -> tuple[np.ndarray, np.ndarray]:
     return scaling_transform(level).T @ g, detail_transform(level).T @ h
 
 
+def interp_scaling(level) -> np.ndarray:
+    """(n+m) x n; column k-1 holds the p-coefficients of interpolating scaling function k,
+    phi_k = sum_r C_rk q_r with phi_k(x_i) = delta_ik: C is the inverse transpose of the
+    node table q_r(x_i)."""
+    q = approx_scatter(level)
+    return q @ np.linalg.inv(q.T @ cheb_table(np.arange(level.n + level.m), level.n)).T
+
+
+def lowdin_scaling(level) -> np.ndarray:
+    """The Lowdin (symmetric) orthonormalization Phi (Phi^T Phi)^(-1/2) of interp_scaling's
+    Phi, column for column.  The p_r are orthonormal, so Phi^T Phi is the Gram matrix."""
+    phi = interp_scaling(level)
+    w, v = np.linalg.eigh(phi.T @ phi)
+    return phi @ (v / np.sqrt(w)) @ v.T
+
+
 def lebesgue_tables(level, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Node-sum and interpolant Lebesgue functions of ``level`` on the probe grid
     cos(j pi / M), j = 0..M, as the pair (lambda-tilde, lambda-bar).
 
     The q_r are orthogonal with squared norms nu_r, so V's reproducing kernel is
-    K(x, y) = sum_r q_r(x) q_r(y) / nu_r and lambda-tilde is (pi/n) sum_i |K(x_i, x)|.
-    The interpolating scaling function phi_k = sum_r C_rk q_r has phi_k(x_i) =
-    delta_ik, so C is the inverse transpose of the node table of the q_r, and
-    lambda-bar is sum_k |phi_k(x)|.
+    K(x, y) = sum_r q_r(x) q_r(y) / nu_r and lambda-tilde is (pi/n) sum_i |K(x_i, x)|;
+    lambda-bar is sum_k |phi_k(x)| over interp_scaling's phi_k.
     """
     n, m = level.n, level.m
     q = approx_scatter(level).T
     at_nodes = q @ cheb_table(np.arange(n + m), n)
-    at_probe = q @ probe_table(np.arange(n + m), grid_size)
-    kernel = at_nodes.T @ (at_probe / approx_norms_sq(level)[:, None])
-    phi = np.linalg.solve(at_nodes, at_probe)
+    table = probe_table(np.arange(n + m), grid_size)
+    kernel = at_nodes.T @ (q @ table / approx_norms_sq(level)[:, None])
+    phi = interp_scaling(level).T @ table
     return (np.pi / n) * np.abs(kernel).sum(axis=0), np.abs(phi).sum(axis=0)
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import approx_norms_sq, approx_scatter, detail_norms_sq, detail_scatter
+from oracles import (
+    approx_norms_sq,
+    approx_scatter,
+    detail_norms_sq,
+    detail_scatter,
+    interp_scaling,
+    lowdin_scaling,
+)
 from util import (
     approx_spread,
     detail_spread,
@@ -173,6 +180,14 @@ def test_ortho_scaling_interp_expansion_form():
     mix = np.sqrt(np.pi / n) * (weights.T @ table)  # entry (k, h)
     alt = scaling_interp_matrix(L136) @ mix.T
     assert max_dev(alt, scaling_ortho_matrix(L136)) < 1e-11
+
+
+@pytest.mark.parametrize("level", [L136, L4020, VPLevel(40, 5), VPLevel(160, 80)], ids=str)
+def test_ortho_scaling_is_the_lowdin_orthonormalization_of_the_interpolating(level):
+    # the paper's two bases of the same V: Phi (Phi^T Phi)^(-1/2), Phi the interpolating
+    # scaling functions from the inverse node table in the oracles, is the orthonormal family
+    assert max_dev(scaling_interp_matrix(level), interp_scaling(level)) < 1e-14
+    assert max_dev(scaling_ortho_matrix(level), lowdin_scaling(level)) < 1e-14
 
 
 def test_ortho_scaling_is_not_interpolating():

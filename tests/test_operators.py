@@ -438,6 +438,16 @@ def test_lebesgue_const_is_the_largest_integral_on_the_half_grid(level, grid_siz
         lebesgue_fn(level, LebesgueKind.LAMBDA, xs).max(), rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("level", [L136, L4020, VPLevel(10, 9)], ids=str)
+def test_lambda_polish_reads_its_spacing_from_its_block(level):
+    # a block sampled at 32(n+m) polishes to lebesgue_fn's integral at 16(n+m); it came
+    # back 2.9-3.3x off when the polish took the spacing as pi / (16(n+m)) whatever it got
+    xs = probe_grid(2000)[:1001]
+    fine = np.concatenate([operators._lambda_polish(b, vals)[0]
+                           for b, vals in operators._lambda_blocks(level, xs, 32)])
+    assert_allclose(fine, lebesgue_fn(level, LebesgueKind.LAMBDA, xs), rtol=1e-14, atol=0)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(level=st.integers(2, 40).flatmap(
            lambda n: st.builds(VPLevel, st.just(n), st.integers(1, n - 1))),
