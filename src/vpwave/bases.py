@@ -20,8 +20,9 @@ The Chebyshev expansion of orthonormal coefficients is _from_v of their DCT
 _node_coords, sqrt(pi/n) times their DCT with the ramp multiplied by the norms
 nu_j (interpolant) or divided by them (discrete projection); it, the q_r, the
 q~_r and the coefficient transforms are all that add filters.scale_norms.
-Every basis element is exported as its array of p-coefficients, and a basis
-matrix is the matching map applied to an identity.
+The W transforms each work in one 3n buffer of their own, folded (_fold) or
+mirrored, scaled (_scale_fold) and transformed in place; no caller's array is
+written.  Every basis element is exported as its array of p-coefficients.
 """
 
 import math
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _is_integer, _last_axis, dct, idct
+from .chebyshev import _dct_own, _is_integer, _last_axis, dct, idct
 from .filters import VPLevel, rotate, scale_norms
 
 SQRT2 = math.sqrt(2.0)
@@ -129,7 +130,9 @@ def _node_coords(u, level: VPLevel, interp: bool) -> np.ndarray:
     """V's orthonormal coordinates of the interpolant (``interp``) or discrete projection
     of node values u.  At the nodes q_r/nu_r is p_r with the ramp divided by nu, so the
     projection divides the ramp of sqrt(pi/n) dct(u) by nu and the interpolant multiplies."""
-    return scale_norms(math.sqrt(math.pi / level.n) * dct(u), level, inverse=not interp)
+    x = dct(u)
+    x *= math.sqrt(math.pi / level.n)
+    return scale_norms(x, level, inverse=not interp)
 
 
 def _complement_scatter(u, n: int) -> np.ndarray:
@@ -142,44 +145,46 @@ def _complement_scatter(u, n: int) -> np.ndarray:
 
 
 def _fold(x, n: int) -> np.ndarray:
-    """Mirror the 3n DCT coefficients of a complement-grid vector onto the 2n
-    degrees of W: x_n; x_r + x_{2n-r} for n < r < 2n; x_{2n} + sqrt 2 x_0;
-    x_r for r > 2n.  It loses nothing for vectors vanishing on coarse nodes."""
-    f = x[..., n:].copy()
-    f[..., 1:n] += x[..., n - 1:0:-1]
-    f[..., n] += SQRT2 * x[..., 0]
+    """Mirror the 3n DCT coefficients x of a complement-grid vector in place onto the 2n
+    degrees of W and return them, x[..., n:]: x_n; x_r + x_{2n-r} for n < r < 2n; x_{2n} +
+    sqrt 2 x_0; x_r for r > 2n.  It loses nothing for vectors vanishing on coarse nodes."""
+    x[..., n + 1:2 * n] += x[..., n - 1:0:-1]
+    x[..., 2 * n] += SQRT2 * x[..., 0]
+    return x[..., n:]
+
+
+def _scale_fold(f, n: int) -> np.ndarray:
+    """Scale the 2n folded bands f in place to orthonormal and return f: by 1, 1/sqrt 2,
+    1/sqrt 3, sqrt(3/2) on r = n, n < r < 2n, r = 2n, r > 2n."""
+    f[..., 1:n] *= 1.0 / SQRT2
+    f[..., n] *= 1.0 / math.sqrt(3.0)
+    f[..., n + 1:] *= math.sqrt(1.5)
     return f
 
 
-def _unfold(f, n: int) -> np.ndarray:
-    """Transpose of _fold: f on degrees n..3n-1, mirrored onto 1..n-1 and 0."""
-    return np.concatenate([SQRT2 * f[..., n:n + 1], f[..., n - 1:0:-1], f], axis=-1)
-
-
-def _fold_scale(n: int) -> np.ndarray:
-    """Scale that makes the folded bands orthonormal: 1, 1/sqrt 2, 1/sqrt 3,
-    sqrt(3/2) on r = n, n < r < 2n, r = 2n, r > 2n."""
-    d = np.full(2 * n, 1.0 / SQRT2)
-    d[0] = 1.0
-    d[n] = 1.0 / math.sqrt(3.0)
-    d[n + 1:] = math.sqrt(1.5)
-    return d
+def _analysis_buffer(u, n: int) -> np.ndarray:
+    """detail_analysis of u in the last 2n entries of the 3n buffer it was folded in."""
+    x = _dct_own(_complement_scatter(_last_axis(u, 2 * n), n))
+    _scale_fold(_fold(x, n), n)
+    return x
 
 
 def detail_analysis(u, level: VPLevel) -> np.ndarray:
     """Coordinates over the orthonormal q~_r/||q~_r||, r = n..3n-1, of sum_k u_k
     (orthonormal wavelet k): an orthogonal 2n x 2n map that scatters onto the
     3n-point grid, takes a DCT and folds the mirrored bands."""
-    n = level.n
-    x = dct(_complement_scatter(_last_axis(u, 2 * n), n))
-    return _fold_scale(n) * _fold(x, n)
+    return _analysis_buffer(u, level.n)[..., level.n:]
 
 
 def detail_synthesis(s, level: VPLevel) -> np.ndarray:
     """Inverse (= transpose) of detail_analysis: coordinates over the orthonormal
-    q~_r/||q~_r|| to coefficients over the orthonormal wavelets."""
+    q~_r/||q~_r|| to coefficients over the orthonormal wavelets, from one 3n buffer."""
     n = level.n
-    x = idct(_unfold(_fold_scale(n) * _last_axis(s, 2 * n), n))
+    x = _pad(_last_axis(s, 2 * n), n, 3 * n)
+    f = _scale_fold(x[..., n:], n)  # and its mirror, the transpose of _fold, in front
+    x[..., 1:n] = f[..., n - 1:0:-1]
+    x[..., 0] = SQRT2 * f[..., n]
+    x = _dct_own(x, inverse=True)
     u = np.empty(x.shape[:-1] + (2 * n,))
     u[..., 0::2] = x[..., 0::3]
     u[..., 1::2] = x[..., 2::3]
@@ -197,9 +202,10 @@ def _psi(u, level: VPLevel) -> np.ndarray:
     the top band r > 2n, which adds the level-(n, m) ramp mix of p_{r-2n}.
     """
     n = level.n
-    x = dct(_complement_scatter(u, n))
+    x = _dct_own(_complement_scatter(u, n))
+    mix = scale_norms(_to_v(x, level), level)  # read before the fold overwrites x
     w = _fold(x, n)
-    w[..., n + 1:] += scale_norms(_to_v(x, level), level)[..., 1:]
+    w[..., n + 1:] += mix[..., 1:]
     return math.sqrt(math.pi / (3 * n)) * _from_w(w, level, norms=True)
 
 

@@ -91,6 +91,11 @@ def idct(v) -> np.ndarray:
     return scipy.fft.idct(_last_axis(v), type=2, norm="ortho")
 
 
+def _dct_own(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """dct (idct if ``inverse``) of a new float array, maybe in place: use what it returns."""
+    return (scipy.fft.idct if inverse else scipy.fft.dct)(x, type=2, norm="ortho", overwrite_x=True)
+
+
 def _last_axis(v, size: int | None = None) -> np.ndarray:
     """v as floats with a last axis, of exactly ``size`` entries if given; a scalar has none."""
     v = np.asarray(v, dtype=float)

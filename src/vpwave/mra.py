@@ -10,7 +10,8 @@ their coordinates over the orthonormal modified Chebyshev basis of level
 into the coordinates over V_n (degrees below n) and W_n (degrees n..3n-1).
 detail_synthesis takes W_n's to the node basis.  A pyramid enters V at the
 top by bases._node_coords, keeps V_n's for the next split and leaves them by
-one inverse DCT at the base; a merge chain mirrors it from one DCT of the base.
+one inverse DCT at the base; a merge chain mirrors it from one DCT of the base,
+turning V_n's and W_n's coordinates in place in each level's one 3n buffer.
 """
 
 import json
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (DetailCoeffs, ScalingCoeffs, _node_coords, _vector, detail_analysis,
+from .bases import (DetailCoeffs, ScalingCoeffs, _analysis_buffer, _node_coords, _vector,
                     detail_synthesis)
-from .chebyshev import _is_integer, dct, idct
+from .chebyshev import _dct_own, _is_integer, dct, idct
 from .filters import VPLevel, rotate
 
 
@@ -63,8 +64,10 @@ def _merge_chain(a: ScalingCoeffs, details: tuple) -> ScalingCoeffs:
     """Inverse of _split_chain from the base ``a`` up through the details."""
     x = dct(a.a)
     for b in details:
-        x = rotate(np.concatenate([x, detail_analysis(b.b, b.level)]), b.level, inverse=True)
-    return ScalingCoeffs(VPLevel(a.level.n * 3 ** len(details), a.level.m), idct(x))
+        buf = _analysis_buffer(b.b, b.level.n)  # W's coordinates behind n spent entries
+        buf[:b.level.n] = x
+        x = rotate(buf, b.level, inverse=True)
+    return ScalingCoeffs(VPLevel(len(x), a.level.m), _dct_own(x, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +205,14 @@ def threshold_keep_top(decomp: MultiDecomposition,
     (globally across levels, ties broken by position) and zero the rest."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    flat = np.concatenate([d.b for d in decomp.details]) if decomp.details else np.empty(0)
-    keep_count = math.ceil(fraction * flat.size)
-    mask = np.zeros(flat.size, dtype=bool)
+    mag = np.concatenate([d.b for d in decomp.details]) if decomp.details else np.empty(0)
+    np.abs(mag, out=mag)  # the concatenation is a copy
+    keep_count = math.ceil(fraction * mag.size)
+    mask = np.zeros(mag.size, dtype=bool)
     if keep_count:
         # the set a stable descending sort would keep, in O(N): everything
         # above the keep_count-th largest magnitude, then the first of its ties
-        mag = np.abs(flat)
-        cut = np.partition(mag, flat.size - keep_count)[flat.size - keep_count]
+        cut = np.partition(mag, mag.size - keep_count)[mag.size - keep_count]
         mask = mag > cut
         mask[np.flatnonzero(mag == cut)[:keep_count - np.count_nonzero(mask)]] = True
     blocks = np.split(mask, np.cumsum([d.b.size for d in decomp.details])[:-1])

@@ -184,7 +184,7 @@ def _lambda_lower(b: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     """The polish stage of lambda = int_0^pi |kernel(x, cos t)| dt on a block, h = pi / N read
     from its N+1 samples, or on some of its points, and how many kernel roots missed their
-    rule, unwarned.  Both callers take _lambda_blocks' default N: at 4(n+m) a pair can slip by.
+    rule, unwarned.  N below 16 per degree raises ValueError: at 4(n+m) a pair can slip by.
 
     kernel(x, cos t) = sum_s b_s cos(s t).  Its roots are bracketed by sign changes on the
     N angle intervals; a pair inside one interval, or straddling one sample, leaves a local
@@ -199,6 +199,8 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     """
     s = np.arange(len(b))[:, None]
     size = vals.shape[1] - 1
+    if size < 16 * len(b):
+        raise ValueError(f"lambda's polish needs 16 samples per degree, got {size} for {len(b)}")
     h = np.pi / size
     floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
     neg, mag = np.signbit(vals), np.abs(vals, out=vals)  # overwrites vals, which callers drop

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -489,6 +491,31 @@ def test_pyramid_json_refuses_deep_nesting():
                  '{"theta": 0.5, "n0": 5, "L": 0, ' + base + ', "details": []}'):
         with pytest.raises(PyramidError, match="recursion"):
             pyramid_from_json(text)
+
+
+def test_pyramid_levels_take_one_buffer_each():
+    # at 3n = 59049 each split and merge works in one 3n buffer that it makes, and the keep-top
+    # selection takes abs of its own concatenated copy in place.  In units of one 59049-float
+    # buffer the peaks read 2.67, 3.22 and 2.13; with the per-level temporaries (the fold
+    # scale, its product, the mirror's concatenation, out-of-place DCTs, the merge's
+    # concatenation) they read 3.00, 4.21 and 3.13, and with the merge's concatenation alone
+    # the merge read 2.34
+    size = 81 * 3 ** 6
+    x = cheb_nodes(size)
+    samples = np.sin(40 * x) + np.abs(x - 0.2) + 0.1 * np.sign(x + 0.3)
+    full = decompose_multi(samples, 81, 6, 0.5)
+    pruned = threshold_keep_top(full, 0.1)[0]
+    reconstruct_multi(pruned)  # every cache is filled
+    peaks = []
+    for run in (lambda: decompose_multi(samples, 81, 6, 0.5),
+                lambda: threshold_keep_top(full, 0.1), lambda: reconstruct_multi(pruned)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * size))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2.85 and peaks[1] <= 3.7 and peaks[2] <= 2.25, peaks
 
 
 def test_multidecomposition_chain_validation():

@@ -448,6 +448,15 @@ def test_lambda_polish_reads_its_spacing_from_its_block(level):
     assert_allclose(fine, lebesgue_fn(level, LebesgueKind.LAMBDA, xs), rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("level", [VPLevel(25, 7), L136, VPLevel(2, 1)], ids=str)
+def test_lambda_polish_refuses_fewer_than_16_samples_per_degree(level):
+    # at 4(n+m) samples the pair test missed a root pair at (25, 7) by 8.3e-6, unwarned
+    xs = probe_grid(2000)[:1001]
+    for b, vals in operators._lambda_blocks(level, xs, 4):
+        with pytest.raises(ValueError, match="16 samples per degree"):
+            operators._lambda_polish(b, vals)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(level=st.integers(2, 40).flatmap(
            lambda n: st.builds(VPLevel, st.just(n), st.integers(1, n - 1))),

@@ -1,8 +1,9 @@
 """Property tests of the ramp rotation and the one-step split and merge over
 random levels (n, m), of random pyramids against their inverse and the
 chained one-step splits, of the pyramid level chain against its JSON round
-trip, of the JSON writer against the indenting encoder, and of the keep-top
-selection against a stable sort."""
+trip, of the JSON writer against the indenting encoder, of the keep-top
+selection against a stable sort, and of every array-taking entry point
+against writing its inputs."""
 
 import math
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from oracles import analysis_matrices
 from util import max_dev, pyramid_json_oracle
 
-from vpwave.bases import DetailCoeffs, ScalingCoeffs
+from vpwave.bases import (DetailCoeffs, ScalingCoeffs, detail_analysis, detail_synthesis,
+                          values_to_ortho)
 from vpwave.filters import VPLevel, rotate
 from vpwave.mra import (
     MultiDecomposition,
@@ -27,9 +29,10 @@ from vpwave.mra import (
     reconstruct_multi,
     reconstruct_step,
     redecompose,
+    threshold_hard,
     threshold_keep_top,
 )
-from vpwave.operators import discrete_proj
+from vpwave.operators import discrete_proj, vp_interp
 
 
 @st.composite
@@ -194,3 +197,44 @@ def test_keep_top_matches_the_stable_sort(pool, levels, fraction):
     assert report == expected[1]
     for d, e in zip(pruned.details, expected[0].details, strict=True):
         assert d.b.tobytes() == e.b.tobytes()
+
+
+# the transforms overwrite only buffers that they made: every input, given writable or
+# read-only, keeps its bits and its flag, and a stacked detail transform's rows are the
+# single-row calls bit for bit; the examples pin m = 1 at n = 2 and m = n - 1 at n = 60
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(level=levels(), seed=st.integers(0, 2**32 - 1))
+@example(level=VPLevel(2, 1), seed=0)
+@example(level=VPLevel(60, 59), seed=1)
+def test_no_input_is_written_and_read_only_inputs_work(level, seed):
+    n, m = level.n, level.m
+    n0 = max(n, m + 2)  # a pyramid based at (n0, m), two levels deep
+    theta = (m + 0.5) / n0
+    rng = np.random.default_rng(seed)
+    for writable in (True, False):
+        u, stack = rng.standard_normal(2 * n), rng.standard_normal((3, 2 * n))
+        samples, fine, top = (rng.standard_normal(k) for k in (n, 3 * n, 9 * n0))
+        inputs = [u, stack, samples, fine, top]
+        for x in inputs:
+            x.setflags(write=writable)
+        before = [x.copy() for x in inputs]
+        for transform in (detail_analysis, detail_synthesis):
+            rows = transform(stack, level)
+            for row, single in zip(rows, stack, strict=True):
+                assert row.tobytes() == transform(single, level).tobytes()
+            transform(u, level)
+        values_to_ortho(samples, level)
+        discrete_proj(samples, level)
+        vp_interp(samples, level)
+        a, b = decompose_step(ScalingCoeffs(VPLevel(3 * n, m), fine))
+        decomp = decompose_multi(top, n0, 2, theta)
+        held = [a.a, b.b, decomp.base.a, *(d.b for d in decomp.details)]  # read-only
+        held_before = [x.copy() for x in held]
+        reconstruct_step(a, b)
+        redecompose(reconstruct_multi(decomp), decomp)
+        threshold_keep_top(decomp, 0.5)
+        threshold_hard(decomp, 0.5)
+        for x, y in zip(inputs, before, strict=True):
+            assert x.tobytes() == y.tobytes() and x.flags.writeable == writable
+        for x, y in zip(held, held_before, strict=True):
+            assert x.tobytes() == y.tobytes()
