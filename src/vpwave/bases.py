@@ -37,9 +37,10 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _vector(values, size: int, what: str) -> np.ndarray:
-    """A finite float copy of ``values`` of shape (size,), else ValueError."""
+    """``values`` as a finite float array of shape (size,), else ValueError.  A float64
+    ndarray comes back itself, neither copied nor written."""
     try:
-        out = np.array(values, dtype=float)
+        out = np.asarray(values, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"{what} must be finite") from exc
     if out.shape != (size,):
@@ -58,7 +59,8 @@ class ScalingCoeffs:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _vector(self.a, self.level.n, "scaling coefficients"))
+        object.__setattr__(self, "a",
+                           _vector(self.a, self.level.n, "scaling coefficients").copy())
         self.a.setflags(write=False)
 
 
@@ -71,7 +73,8 @@ class DetailCoeffs:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _vector(self.b, 2 * self.level.n, "detail coefficients"))
+        object.__setattr__(self, "b",
+                           _vector(self.b, 2 * self.level.n, "detail coefficients").copy())
         self.b.setflags(write=False)
 
 

@@ -32,13 +32,10 @@ class PyramidError(ValueError):
 
 def decompose_step(fine: ScalingCoeffs) -> tuple[ScalingCoeffs, DetailCoeffs]:
     """Split level-(3n, m) scaling coefficients into level-(n, m) scaling and
-    detail coefficients.  Requires 3 | 3n and m < n."""
-    level3 = fine.level
-    if level3.n % 3 != 0:
-        raise ValueError(f"input length {level3.n} is not divisible by 3")
-    if level3.m >= level3.n // 3:
-        raise ValueError(f"m={level3.m} too large to split down to n={level3.n // 3}")
-    a, (b,) = _split_chain(dct(fine.a), level3.m, 1)
+    detail coefficients.  Requires 3 | 3n and m < n (VPLevel(n, m) refuses the rest)."""
+    if fine.level.n % 3 != 0:
+        raise ValueError(f"input length {fine.level.n} is not divisible by 3")
+    a, (b,) = _split_chain(dct(fine.a), fine.level.m, 1)
     return a, b
 
 

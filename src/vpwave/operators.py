@@ -40,7 +40,6 @@ from .chebyshev import (
     idct,
     probe_grid,
     probe_values,
-    sup_error,
 )
 from .filters import VPLevel, scale_norms
 
@@ -281,7 +280,10 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
 def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_s coeffs[s, ..., rows] e^{i s t} by Horner's rule in e^{i t}, one degree at a
     time over blocks of 2^14 points, so that memory stays O(len(t)) and each block stays
-    in cache."""
+    in cache.  numpy rounds an in-place complex product of one entry by another rule, so
+    a spare copy of the first point, dropped at the end, keeps the points' blocks above one
+    entry and each point's sums independent of the points that share the call."""
+    t, rows = np.append(t, t[:1]), np.append(rows, rows[:1])
     acc = np.zeros(coeffs.shape[1:-1] + t.shape, dtype=complex)
     for j in range(0, len(t), 1 << 14):
         block, z = rows[j:j + (1 << 14)], np.exp(1j * t[j:j + (1 << 14)])
@@ -289,7 +291,7 @@ def _cosine_sums(coeffs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndar
         for col in coeffs[::-1]:
             part *= z
             part += np.take(col, block, axis=-1)
-    return acc
+    return acc[..., :-1]
 
 
 def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
@@ -412,10 +414,7 @@ def error_curve(f: Callable, kind: OperatorKind, theta: float,
     """Sup-norm error of the chosen approximant over resolutions n with
     m = floor(theta n); degenerate pairs are skipped with a warning."""
     kind = OperatorKind(kind)
-    _check_size(grid_size)
-    out = []
-    for level in _sweep_levels(theta, n_list):
-        approx = approximant(f, level, kind)
-        err = sup_error(f, lambda xs: probe_values(approx, grid_size), grid_size)
-        out.append(ErrorPoint(level.n, level.m, err))
-    return out
+    fx = np.asarray(f(probe_grid(grid_size)), dtype=float)
+    return [ErrorPoint(level.n, level.m, float(np.max(np.abs(
+                fx - probe_values(approximant(f, level, kind), grid_size)))))
+            for level in _sweep_levels(theta, n_list)]

@@ -26,6 +26,7 @@ from vpwave.bases import (
     _from_v,
     _from_w,
     _to_v,
+    _vector,
     approx_basis,
     detail_analysis,
     detail_basis,
@@ -369,6 +370,18 @@ def test_coefficient_containers_own_their_arrays():
     d = DetailCoeffs(L136, big[:26])
     big[:] = -1.0
     assert np.array_equal(d.b, np.arange(26.0)) and not d.b.flags.writeable
+
+
+def test_vector_checks_a_float_array_without_copying_it():
+    # the one finiteness gate copies nothing that is already a float64 array, writable or
+    # not, so only the value types above copy; anything else comes back as a new float array
+    x = np.arange(13.0)
+    assert _vector(x, 13, "values") is x
+    x.setflags(write=False)
+    assert _vector(x, 13, "values") is x and not x.flags.writeable
+    y = _vector(list(range(13)), 13, "values")
+    assert y.dtype == np.float64 and np.array_equal(y, x)
+    assert _vector(x.astype(np.float32), 13, "values").dtype == np.float64
 
 
 def test_change_of_basis_forward_backward_identity():
