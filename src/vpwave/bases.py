@@ -59,9 +59,7 @@ class ScalingCoeffs:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a",
-                           _vector(self.a, self.level.n, "scaling coefficients").copy())
-        self.a.setflags(write=False)
+        _hold(self, self.a, copy=True)
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,24 @@ class DetailCoeffs:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b",
-                           _vector(self.b, 2 * self.level.n, "detail coefficients").copy())
-        self.b.setflags(write=False)
+        _hold(self, self.b, copy=True)
+
+
+def _hold(c, values, copy: bool) -> None:
+    """Hold ``values`` in ``c`` through the _vector gate, read-only, copied if ``copy``."""
+    name, size, what = ("b", 2, "detail") if isinstance(c, DetailCoeffs) else ("a", 1, "scaling")
+    out = _vector(values, size * c.level.n, what + " coefficients")
+    object.__setattr__(c, name, out.copy() if copy else out)
+    getattr(c, name).setflags(write=False)
+
+
+def _own(cls, level: VPLevel, values):
+    """``cls(level, values)``, ScalingCoeffs or DetailCoeffs, for an array the library has just
+    made and nothing else holds: the same gate, and that array held read-only, uncopied."""
+    c = object.__new__(cls)
+    object.__setattr__(c, "level", level)
+    _hold(c, values, copy=False)
+    return c
 
 
 def _pad(x, first: int, size: int) -> np.ndarray:
@@ -272,8 +285,8 @@ def detail_to_cheb(d: DetailCoeffs) -> np.ndarray:
 def values_to_ortho(samples, level: VPLevel) -> ScalingCoeffs:
     """Orthonormal coefficients of the unique element of V that interpolates
     ``samples`` on the level-n Chebyshev grid (node order)."""
-    return ScalingCoeffs(level, idct(_node_coords(_vector(samples, level.n, "samples"),
-                                                  level, True)))
+    return _own(ScalingCoeffs, level, idct(_node_coords(_vector(samples, level.n, "samples"),
+                                                        level, True)))
 
 
 def ortho_to_values(c: ScalingCoeffs) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (DetailCoeffs, ScalingCoeffs, _analysis_buffer, _node_coords, _vector,
+from .bases import (DetailCoeffs, ScalingCoeffs, _analysis_buffer, _node_coords, _own, _vector,
                     detail_synthesis)
 from .chebyshev import _dct_own, _is_integer, dct, idct
 from .filters import VPLevel, rotate
@@ -52,9 +52,10 @@ def _split_chain(x: np.ndarray, m: int, levels: int) -> tuple:
     details = []
     for _ in range(levels):
         level = VPLevel(len(x) // 3, m)
-        details.append(DetailCoeffs(level, detail_synthesis(rotate(x, level)[level.n:], level)))
+        details.append(_own(DetailCoeffs, level,
+                            detail_synthesis(rotate(x, level)[level.n:], level)))
         x = x[:level.n]
-    return ScalingCoeffs(VPLevel(len(x), m), idct(x)), tuple(details[::-1])
+    return _own(ScalingCoeffs, VPLevel(len(x), m), idct(x)), tuple(details[::-1])
 
 
 def _merge_chain(a: ScalingCoeffs, details: tuple) -> ScalingCoeffs:
@@ -64,7 +65,7 @@ def _merge_chain(a: ScalingCoeffs, details: tuple) -> ScalingCoeffs:
         buf = _analysis_buffer(b.b, b.level.n)  # W's coordinates behind n spent entries
         buf[:b.level.n] = x
         x = rotate(buf, b.level, inverse=True)
-    return ScalingCoeffs(VPLevel(len(x), a.level.m), _dct_own(x, inverse=True))
+    return _own(ScalingCoeffs, VPLevel(len(x), a.level.m), _dct_own(x, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +182,9 @@ def _rebuild(decomp: MultiDecomposition,
     # einsum, not `@`: the cost and the rounding of a BLAS dot product depend on its threads
     energy_total = sum(float(np.einsum("i,i", d.b, d.b)) for d in decomp.details)
     energy_kept = sum(float(np.einsum("i,i", nb, nb)) for nb in kept_details)
-    new_details = tuple(DetailCoeffs(d.level, nb)
-                        for d, nb in zip(decomp.details, kept_details))
-    out = MultiDecomposition(decomp.theta, decomp.base, new_details)
-    return out, ThresholdReport(kept, total, energy_kept, energy_total)
+    details = tuple(_own(DetailCoeffs, d.level, nb) for d, nb in zip(decomp.details, kept_details))
+    return (MultiDecomposition(decomp.theta, decomp.base, details),
+            ThresholdReport(kept, total, energy_kept, energy_total))
 
 
 def threshold_hard(decomp: MultiDecomposition,
@@ -242,14 +242,14 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
     try:
         doc = json.loads(text)
         theta = _json_number(doc["theta"])
-        base = ScalingCoeffs(VPLevel.from_theta(doc["n0"], theta), _json_numbers(doc["base"]))
+        base = _own(ScalingCoeffs, VPLevel.from_theta(doc["n0"], theta), _json_numbers(doc["base"]))
         entries = doc["details"]
         if not _is_integer(doc["L"]):
             raise ValueError(f"level count L must be an integer, got {doc['L']!r}")
         if not isinstance(entries, list) or len(entries) != doc["L"]:
             raise ValueError(f"details must be a list of L={doc['L']!r} entries")
-        details = [DetailCoeffs(VPLevel(e["n"], e["m"]), _json_numbers(e["b"])) for e in entries]
-        return MultiDecomposition(theta, base, tuple(details))
+        return MultiDecomposition(theta, base, tuple(
+            _own(DetailCoeffs, VPLevel(e["n"], e["m"]), _json_numbers(e["b"])) for e in entries))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PyramidError(f"bad pyramid document: {exc}") from exc
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 import scipy.fft
 
-from .bases import ScalingCoeffs, _from_v, _node_coords, _to_v, _vector, scaling_to_cheb
+from .bases import ScalingCoeffs, _from_v, _node_coords, _own, _to_v, _vector, scaling_to_cheb
 from .chebyshev import (
     SQRT_1_PI,
     SQRT_2_PI,
@@ -92,13 +92,13 @@ def fourier_proj(f: Callable, level: VPLevel) -> ScalingCoeffs:
     smooth f), taken to V's orthonormal coordinates, then to the scaling basis."""
     size = 16 * (level.n + level.m)
     g = np.sqrt(np.pi / size) * dct(_vector(f(cheb_nodes(size)), size, "values of f"))
-    return ScalingCoeffs(level, idct(_to_v(g, level)))
+    return _own(ScalingCoeffs, level, idct(_to_v(g, level)))
 
 
 def discrete_proj(samples, level: VPLevel) -> ScalingCoeffs:
     """Discrete projection: fourier_proj with the n-point rule on the level-n grid."""
-    return ScalingCoeffs(level, idct(_node_coords(_vector(samples, level.n, "samples"),
-                                                  level, False)))
+    return _own(ScalingCoeffs, level, idct(_node_coords(_vector(samples, level.n, "samples"),
+                                                        level, False)))
 
 
 def vp_interp(samples, level: VPLevel) -> np.ndarray:
@@ -159,8 +159,17 @@ def _lambda_bound(b: np.ndarray, vals: np.ndarray) -> np.ndarray:
     for j in range(0, len(vals), 64):  # |vals| 64 rows at a time: a whole-table copy page-faults
         total[j:j + 64] = np.abs(vals[j:j + 64]).sum(axis=1)
     trapezoid = h * (total - (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / 2)
-    return (trapezoid + np.pi * h * h / 12 * np.abs(b * s * s).sum(axis=0)
-            + 2 * np.pi * (len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)))
+    return (trapezoid + np.pi * h * h / 12 * _degree_sum(np.abs(b * s * s))
+            + 2 * np.pi * (len(s) * np.finfo(float).eps * _degree_sum(np.abs(b))))
+
+
+def _degree_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a new array a, which it overwrites, row by row for any width (numpy's
+    sum goes row by row over a block of columns but pairwise down a single column)."""
+    total = a[0]
+    for row in a[1:]:
+        total += row
+    return total
 
 
 def _lambda_lower(b: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -201,13 +210,13 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     if size < 16 * len(b):
         raise ValueError(f"lambda's polish needs 16 samples per degree, got {size} for {len(b)}")
     h = np.pi / size
-    floor = len(s) * np.finfo(float).eps * np.abs(b).sum(axis=0)  # roundoff of one sum
+    floor = len(s) * np.finfo(float).eps * _degree_sum(np.abs(b))  # roundoff of one sum
     neg, mag = np.signbit(vals), np.abs(vals, out=vals)  # overwrites vals, which callers drop
     # a root pair's parabola test allows for the three samples' interpolation error,
     # max|kernel'''| h^3 / (9 sqrt 3) with max|kernel'''| <= sum_s s^3 |b_s|
-    reach = np.abs(b * s ** 3).sum(axis=0) * h ** 3 / (9 * np.sqrt(3)) + floor
+    reach = _degree_sum(np.abs(b * s ** 3)) * h ** 3 / (9 * np.sqrt(3)) + floor
     # kernel''(0) = -sum_s s^2 b_s, kernel''(pi) = -sum_s (-1)^s s^2 b_s
-    curv = np.abs([(b * s * s).sum(axis=0), (b * s * s * (-1.0) ** s).sum(axis=0)])
+    curv = np.abs([_degree_sum(b * s * s), _degree_sum(b * s * s * (-1.0) ** s)])
 
     def newton(k, rows, lo, hi, t, left, converged):
         """From t, zeros in [lo, hi] of the k-th angle derivative of the kernel rows, whose

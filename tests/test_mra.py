@@ -15,6 +15,7 @@ from vpwave.bases import (
     scaling_analysis,
     scaling_synthesis,
     scaling_to_cheb,
+    values_to_ortho,
 )
 from vpwave.chebyshev import cheb_nodes, eval_series, probe_grid
 from vpwave.filters import VPLevel
@@ -32,7 +33,7 @@ from vpwave.mra import (
     threshold_hard,
     threshold_keep_top,
 )
-from vpwave.operators import discrete_proj
+from vpwave.operators import discrete_proj, fourier_proj
 
 L136 = VPLevel(13, 6)
 
@@ -494,12 +495,12 @@ def test_pyramid_json_refuses_deep_nesting():
 
 
 def test_pyramid_levels_take_one_buffer_each():
-    # at 3n = 59049 each split and merge works in one 3n buffer that it makes, and the keep-top
-    # selection takes abs of its own concatenated copy in place.  In units of one 59049-float
-    # buffer the peaks read 2.67, 3.22 and 2.13; with the per-level temporaries (the fold
-    # scale, its product, the mirror's concatenation, out-of-place DCTs, the merge's
-    # concatenation) they read 3.00, 4.21 and 3.13, and with the merge's concatenation alone
-    # the merge read 2.34
+    # at 3n = 59049 each split and merge works in one 3n buffer that it makes, the keep-top
+    # selection takes abs of its own concatenated copy in place, and the value types hold the
+    # arrays made for them uncopied.  In units of one 59049-float buffer the peaks read 2.67,
+    # 2.22 and 1.35; with a copy of each of those arrays they read 2.67, 3.13 and 2.00, with
+    # the per-level temporaries too (the fold scale, its product, the mirror's concatenation,
+    # out-of-place DCTs, the merge's concatenation) 3.00, 4.21 and 3.13
     size = 81 * 3 ** 6
     x = cheb_nodes(size)
     samples = np.sin(40 * x) + np.abs(x - 0.2) + 0.1 * np.sign(x + 0.3)
@@ -515,7 +516,38 @@ def test_pyramid_levels_take_one_buffer_each():
             peaks.append(tracemalloc.get_traced_memory()[1] / (8 * size))
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 2.85 and peaks[1] <= 3.7 and peaks[2] <= 2.25, peaks
+    assert peaks[0] <= 2.85 and peaks[1] <= 2.5 and peaks[2] <= 1.6, peaks
+
+
+def test_outputs_hold_read_only_arrays_of_their_own():
+    # a value type holds an array that the library has just made without copying it: every
+    # array an output holds is read-only and shares memory with no other array of that output
+    # nor with the caller's input (a threshold keeps its input's read-only base as it is)
+    x = cheb_nodes(5 * 3 ** 3)
+    samples = np.sin(7 * x) + np.abs(x - 0.2)
+    level = VPLevel(5, 2)
+    full = decompose_multi(samples, 5, 3, 0.5)
+    top = reconstruct_multi(full)
+    held = [full.base.a, *(d.b for d in full.details)]
+    outputs = [
+        (full, [samples]),
+        (threshold_keep_top(full, 0.3)[0].details, held[1:]),
+        (threshold_hard(full, 0.1)[0].details, held[1:]),
+        (top, held),
+        (redecompose(top, full), [top.a]),
+        (pyramid_from_json(pyramid_to_json(full)), held),
+        (values_to_ortho(samples[:5], level), [samples]),
+        (discrete_proj(samples[:5], level), [samples]),
+        (fourier_proj(np.cos, level), []),
+    ]
+    for out, inputs in outputs:
+        if isinstance(out, MultiDecomposition):
+            out = (out.base, *out.details)
+        arrays = [c.a if isinstance(c, ScalingCoeffs) else c.b
+                  for c in (out if isinstance(out, tuple) else (out,))]
+        assert not any(a.flags.writeable for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, other) for other in arrays[i + 1:] + inputs)
 
 
 def test_multidecomposition_chain_validation():

@@ -33,7 +33,7 @@ from vpwave.chebyshev import (
 )
 from vpwave import operators
 from vpwave.filters import VPLevel
-from vpwave.mra import decompose_multi
+from vpwave.mra import MultiDecomposition, decompose_multi, reconstruct_multi
 from vpwave.operators import (
     LebesgueKind,
     OperatorKind,
@@ -146,10 +146,14 @@ _ONE_INF = [0.0] * 6 + [np.inf] + [0.0] * 6
     lambda: scaling_to_cheb(ScalingCoeffs(L136, [1.7e308, -1.7e308] * 6 + [1.7e308])),
     lambda: detail_to_cheb(DetailCoeffs(L136, [1.7e308, -1.7e308] * 13)),
     lambda: error_curve(lambda x: 1.7e308 * np.sign(x - 0.1), "vp", 0.5, [10]),
+    # the merge's top vector is held uncopied, through the same gate
+    lambda: reconstruct_multi(MultiDecomposition(
+        0.5, ScalingCoeffs(VPLevel(5, 2), [1.7e308] * 5),
+        (DetailCoeffs(VPLevel(5, 2), [1.7e308] * 10),))),
 ], ids=["discrete-nan", "discrete-inf", "interp-nan", "interp-inf", "ortho-nan",
         "ortho-inf", "fourier-nan", "scaling-nan", "detail-nan", "scaling-huge-int",
         "decompose-overflow", "values-overflow", "interp-overflow", "scaling-cheb-overflow",
-        "detail-cheb-overflow", "error-curve-overflow"])
+        "detail-cheb-overflow", "error-curve-overflow", "reconstruct-overflow"])
 def test_every_vector_must_be_finite(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
@@ -447,6 +451,24 @@ def test_lambda_at_a_point_does_not_depend_on_its_batch(level, extra):
     batch = lebesgue_fn(level, LebesgueKind.LAMBDA, xs)
     for i in sorted({*range(0, len(xs), 7), *extra}):
         assert lebesgue_fn(level, LebesgueKind.LAMBDA, xs[i]) == batch[i], i
+
+
+@pytest.mark.parametrize("level", [L136, VPLevel(30, 27), L4020], ids=str)
+def test_lambda_degree_sums_do_not_depend_on_the_block(level):
+    # numpy's sum over axis 0 takes one column pairwise and a block row by row: the bound of a
+    # point alone differed in the last bit from its batched bound at 1, 3 and 5 of these points
+    xs = probe_grid(2000)[:1001][::7]
+    (b, vals), = operators._lambda_blocks(level, xs)
+    bound = operators._lambda_bound(b, vals)
+    s = np.arange(len(b))[:, None]
+    terms = [np.abs, lambda c: np.abs(c * s ** 3), lambda c: c * s * s,
+             lambda c: c * s * s * (-1.0) ** s]  # the polish's floor, reach and curvatures
+    sums = [operators._degree_sum(term(b)) for term in terms]
+    for j in range(len(xs)):
+        col = b[:, j:j + 1].copy()
+        assert operators._lambda_bound(col, vals[j:j + 1].copy())[0] == bound[j], j
+        for term, total in zip(terms, sums, strict=True):
+            assert operators._degree_sum(term(col))[0] == total[j], j
 
 
 @pytest.mark.parametrize("level", [L136, L4020, VPLevel(10, 9)], ids=str)
