@@ -64,8 +64,6 @@ def _check_domain(x):
 
 def eval_p(r: int, x):
     """Orthonormal Chebyshev polynomial p_r at x (scalar or array), |x| <= 1."""
-    if not _is_integer(r) or r < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {r!r}")
     out = eval_p_table([r], x)[0].reshape(np.shape(x))
     return float(out) if out.ndim == 0 else out
 

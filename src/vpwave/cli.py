@@ -183,22 +183,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("error", help="sup-norm error sweep of an approximant")
+    sweep = argparse.ArgumentParser(add_help=False)  # the arguments of both sweeps
+    sweep.add_argument("--theta", required=True, help="comma-separated list in (0, 1)")
+    sweep.add_argument("--n", required=True, help="single value or start:step:stop")
+    sweep.add_argument("--grid", type=int, default=10000, help="probe grid size M")
+    sweep.add_argument("--out", required=True,
+                       help="output CSV path (settings go to <out>.meta.json)")
+
+    p = sub.add_parser("error", parents=[sweep], help="sup-norm error sweep of an approximant")
     p.add_argument("--f", required=True, help="registry function name")
     p.add_argument("--op", required=True, choices=[k.value for k in OperatorKind])
-    p.add_argument("--theta", required=True, help="comma-separated list in (0, 1)")
-    p.add_argument("--n", required=True, help="single value or start:step:stop")
-    p.add_argument("--grid", type=int, default=10000, help="probe grid size M")
-    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_error)
 
-    p = sub.add_parser("lebesgue", help="Lebesgue constant sweep")
+    p = sub.add_parser("lebesgue", parents=[sweep], help="Lebesgue constant sweep")
     p.add_argument("--kind", required=True, choices=[k.value for k in LebesgueKind])
-    p.add_argument("--theta", required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--grid", type=int, default=10000)
-    p.add_argument("--out", required=True,
-                   help="output CSV path (settings go to <out>.meta.json)")
     p.set_defaults(func=cmd_lebesgue)
 
     p = sub.add_parser("decompose", help="build a pyramid JSON file")

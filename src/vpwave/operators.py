@@ -202,8 +202,9 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     root off by kernel/kernel' moves the integral by about that, and the integral's scale is
     pi b_0 = 1) or |kernel| is at the roundoff of its sum.  A simple bracket starts Newton at
     its secant point, or next to t = 0 or pi, about which the kernel is even, at the root of
-    the kernel's even quadratic about that end.  Between roots |kernel| integrates exactly
-    to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
+    the even parabola through the end sample and its neighbour; a pair's roots start where
+    the three samples' parabola, moved to the extremum's value there, crosses zero.  Between
+    roots |kernel| integrates exactly to |F(b) - F(a)|, F(t) = b_0 t + sum_s b_s sin(s t)/s.
     """
     s = np.arange(len(b))[:, None]
     size = vals.shape[1] - 1
@@ -215,8 +216,6 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     # a root pair's parabola test allows for the three samples' interpolation error,
     # max|kernel'''| h^3 / (9 sqrt 3) with max|kernel'''| <= sum_s s^3 |b_s|
     reach = _degree_sum(np.abs(b * s ** 3)) * h ** 3 / (9 * np.sqrt(3)) + floor
-    # kernel''(0) = -sum_s s^2 b_s, kernel''(pi) = -sum_s (-1)^s s^2 b_s
-    curv = np.abs([_degree_sum(b * s * s), _degree_sum(b * s * s * (-1.0) ** s)])
 
     def newton(k, rows, lo, hi, t, left, converged):
         """From t, zeros in [lo, hi] of the k-th angle derivative of the kernel rows, whose
@@ -249,33 +248,30 @@ def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
     # unless its three-sample parabola stays off zero by more than the interpolation error
     p0, p1, p2 = mag[r2, c2], mag[r2, c2 + 1], mag[r2, c2 + 2]
     p1 = np.where(neg[r2, c2 + 1] == neg[r2, c2], p1, -p1)  # signed, the neighbours positive
-    vertex = p1 - (p2 - p0) ** 2 / (8 * ((p0 - p1) + (p2 - p1)))
-    r2, c2 = r2[vertex <= reach[r2]], c2[vertex <= reach[r2]]
+    bend = (p0 - p1) + (p2 - p1)  # > 0, as |kernel| falls from p0 to p1 and p1 <= p2
+    keep = p1 - (p2 - p0) ** 2 / (8 * bend) <= reach[r2]  # the parabola's vertex
+    r2, c2, bend = r2[keep], c2[keep], bend[keep]
     # |kernel| falls from sample c2 toward its minimum, so kernel' there has the other sign
     ext, _ = newton(1, r2, c2 * h, (c2 + 2) * h, (c2 + 1) * h, ~neg[r2, c2],
                     lambda val, slope, step, rows: np.abs(step) <= h / 2 ** 26)
     depth = _cosine_sums(b, r2, ext).real
     cross = np.signbit(depth) != neg[r2, c2]
-    r2, c2, ext, depth = r2[cross], c2[cross], ext[cross], depth[cross]
+    r2, c2, ext, depth, bend = r2[cross], c2[cross], ext[cross], depth[cross], bend[cross]
     # a pair is split at the extremum; a straddling one leaves its two sign changes
     change = neg[:, :-1] != neg[:, 1:]
     change[r2, c2] = change[r2, c2 + 1] = False
     rows, cols = np.nonzero(change)
-    half = np.sqrt(np.abs(2 * depth / _cosine_sums(b * s * s, r2, ext).real))
+    half = h * np.sqrt(2 * np.abs(depth) / bend)  # bend / h^2 stands for |kernel''|
     left = np.concatenate([neg[rows, cols], neg[r2, c2], ~neg[r2, c2]])
     lo = np.concatenate([cols * h, c2 * h, ext])
     hi = np.concatenate([(cols + 1) * h, ext, (c2 + 2) * h])
     # the secant point of a simple bracket; its middle if both samples are zero (+0, -0)
     m0, m1 = mag[rows, cols], mag[rows, cols + 1]
-    first = (cols + np.divide(m0, m0 + m1, out=np.full_like(m0, 0.5), where=m0 + m1 > 0.0)) * h
-    # next to t = 0 or pi, about which the kernel is even, the root of its even quadratic
-    # there, K(end) + K''(end) (t - end)^2 / 2 with K''(end) != 0
-    side = (cols == size - 1).astype(int)  # 1 in the bracket that ends at pi, else 0
-    curv = curv[side, rows]
-    near = ((cols == 0) | (cols == size - 1)) & (curv > 0.0)
-    dist = np.sqrt(2 * mag[rows, side * size][near] / curv[near])
-    first[near] = np.where(side[near], np.pi - dist, dist)
-    start = np.concatenate([first, ext - half, ext + half])
+    f = np.divide(m0, m0 + m1, out=np.full_like(m0, 0.5), where=m0 + m1 > 0.0)
+    # next to t = 0 or pi, about which the kernel is even, the root of the even parabola
+    # through the end sample and its neighbour lies sqrt(f) of the bracket from the end
+    f = np.where(cols == 0, np.sqrt(f), np.where(cols == size - 1, 1 - np.sqrt(1 - f), f))
+    start = np.concatenate([(cols + f) * h, ext - half, ext + half])
     rows = np.concatenate([rows, r2, r2])
     root, missed = newton(0, rows, lo, hi, np.clip(start, lo, hi), left,
                           lambda val, slope, step, rows: ((val * val <= np.abs(slope) / 2 ** 53)

@@ -7,7 +7,8 @@ fast-versus-dense check compares two different code paths.  Levels are
 passed as any object with integer attributes ``n`` and ``m``.
 
 The high-precision oracles (``series_mp``, ``lambda_mp``) work in ``mpmath``,
-and ``pyramid_ld`` in long double.
+and ``pyramid_ld`` in long double.  ``remez_bracket`` brackets the best uniform
+error of a polynomial degree on the probe grid by Remez's exchange.
 
 Notation: p_r is the orthonormal Chebyshev polynomial of degree r, mu the
 ramp of level (n, m), q_r (0 <= r < n) the modified Chebyshev basis of V and
@@ -301,6 +302,49 @@ def lambda_mp(level, x: float, dps: int = 30) -> float:
                                         solver="anderson"))
         ends.append(mpmath.pi)
         return float(mpmath.fsum(abs(anti(u) - anti(v)) for u, v in zip(ends, ends[1:])))
+
+
+def remez_bracket(f, degree: int, grid_size: int):
+    """(lower, upper) around E, the least max_j |f(x_j) - p(x_j)| over the polynomials p of
+    ``degree`` on the probe points x_j = cos(j pi / M), j = 0..M; None when E is at roundoff,
+    below 1e3 eps max_j |f(x_j)|.
+
+    Remez's exchange: each step takes the p whose error is levelled, +-h with alternating
+    signs, on degree+2 reference points.  Where f - p alternates there, its smallest |f - p|
+    on the reference is at most E (de la Vallee Poussin), and every p's largest |f - p| on
+    the grid is at least E; the bracket keeps the best of both.  The next reference takes
+    the largest |f - p| of each run of one sign, thinned to degree+2 by dropping the
+    smallest, an inner one with the smaller of its neighbours so that the signs keep
+    alternating.  The exchange stops when |h| stops growing (Remez 1934; Trefethen,
+    Approximation Theory and Approximation Practice, ch. 10).
+    """
+    fx = np.asarray(f(np.cos(np.arange(grid_size + 1) * (np.pi / grid_size))), dtype=float)
+    table = probe_table(np.arange(degree + 1), grid_size).T
+    signs = (-1.0) ** np.arange(degree + 2)
+    ref = np.round(np.arange(degree + 2) * (grid_size / (degree + 1))).astype(int)
+    lower, upper, level = 0.0, np.inf, -1.0
+    while True:
+        c = np.linalg.solve(np.column_stack([table[ref], signs]), fx[ref])
+        e = fx - table @ c[:-1]
+        upper = min(upper, np.abs(e).max())
+        if np.all(np.signbit(e[ref][1:]) != np.signbit(e[ref][:-1])):
+            lower = max(lower, np.abs(e[ref]).min())
+        if not abs(c[-1]) > level:
+            break
+        level = abs(c[-1])
+        cuts = np.flatnonzero(np.signbit(e[1:]) != np.signbit(e[:-1])) + 1
+        ref = np.array([run[np.argmax(np.abs(e[run]))]
+                        for run in np.split(np.arange(grid_size + 1), cuts)])
+        if len(ref) < degree + 2:
+            break
+        while len(ref) > degree + 2:
+            mag = np.abs(e[ref])
+            i, last = int(np.argmin(mag)), len(ref) - 1
+            if 0 < i < last and len(ref) > degree + 3:
+                ref = np.delete(ref, [i, i - 1 if mag[i - 1] < mag[i + 1] else i + 1])
+            else:
+                ref = np.delete(ref, i if i in (0, last) else (0 if mag[0] <= mag[last] else last))
+    return None if upper < 1e3 * np.finfo(float).eps * np.abs(fx).max() else (lower, upper)
 
 
 def _cosine_ld(v, inverse: bool = False) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from oracles import fourier_proj as dense_fourier_proj
-from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp, lebesgue_tables
+from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp, lebesgue_tables, remez_bracket
 from util import max_dev, scaling_ortho_matrix
 
 from vpwave.bases import (
@@ -33,6 +33,7 @@ from vpwave.chebyshev import (
 )
 from vpwave import operators
 from vpwave.filters import VPLevel
+from vpwave.functions import REGISTRY
 from vpwave.mra import MultiDecomposition, decompose_multi, reconstruct_multi
 from vpwave.operators import (
     LebesgueKind,
@@ -405,7 +406,7 @@ def test_lebesgue_fn_starts_newton_at_the_secant_point_at_every_point(newton_poi
 
 def test_lebesgue_const_polishes_only_points_whose_bound_reaches_the_maximum(newton_points,
                                                                             monkeypatch):
-    # 34,438 (value, slope) points when every point of the half grid was polished.  4(n+m)
+    # 34,441 (value, slope) points when every point of the half grid was polished.  4(n+m)
     # samples bound every point, the lower bound at the one with the largest bound drops most
     # of them, and the rest take 16(n+m) samples in one block and one polish call
     sampled, polished = [], []
@@ -461,8 +462,7 @@ def test_lambda_degree_sums_do_not_depend_on_the_block(level):
     (b, vals), = operators._lambda_blocks(level, xs)
     bound = operators._lambda_bound(b, vals)
     s = np.arange(len(b))[:, None]
-    terms = [np.abs, lambda c: np.abs(c * s ** 3), lambda c: c * s * s,
-             lambda c: c * s * s * (-1.0) ** s]  # the polish's floor, reach and curvatures
+    terms = [np.abs, lambda c: np.abs(c * s ** 3)]  # the polish's floor and reach
     sums = [operators._degree_sum(term(b)) for term in terms]
     for j in range(len(xs)):
         col = b[:, j:j + 1].copy()
@@ -706,6 +706,29 @@ def test_error_curve_abs_first_order_rate():
     errs = {p.n: p.error for p in pts}
     assert 2.2 < errs[10] / errs[30] < 4.0
     assert 2.2 < errs[30] / errs[90] < 4.0
+
+
+@pytest.mark.parametrize("kind, norm", [(OperatorKind.FOURIER_PROJ, LebesgueKind.LAMBDA),
+                                        (OperatorKind.DISCRETE_PROJ, LebesgueKind.LAMBDA_TILDE),
+                                        (OperatorKind.VP_INTERP, LebesgueKind.LAMBDA_BAR)])
+def test_error_curve_is_near_best(kind, norm):
+    # V holds the polynomials of degree n-m and each operator P keeps them, so its error is at
+    # most (1 + ||P||) E_{n-m}(f), E the best uniform error, bracketed on the probe grid by
+    # Remez's exchange.  The closest case is vp on |x|^0.3 at n = 90: 2.28 against 2.41.
+    # E is at roundoff for sin at n = 30 and 90 and for runge at n = 90
+    grid, levels = 2000, [VPLevel.from_theta(n, 0.5) for n in (10, 30, 90)]
+    tops = [lebesgue_const(level, norm, grid).value for level in levels]
+    checked = 0
+    for name, f in REGISTRY.items():
+        points = error_curve(f, kind, 0.5, [level.n for level in levels], grid)
+        for level, top, point in zip(levels, tops, points, strict=True):
+            bracket = remez_bracket(f, level.n - level.m, grid)
+            if bracket is not None:
+                lower, upper = bracket
+                assert upper <= 1.01 * lower, (name, level, bracket)
+                assert point.error <= (1 + top) * upper, (name, level, point.error / upper, top)
+                checked += 1
+    assert checked == 12
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
