@@ -69,9 +69,9 @@ def eval_p(r: int, x):
 
 
 def eval_p_table(degrees, x) -> np.ndarray:
-    """Table p_r(x_j), shape (len(degrees), len(x)), for integer degrees r >= 0."""
+    """Table p_r(x_j), shape (len(degrees), len(x)), for a 1-d array of integer degrees r >= 0."""
     degrees = np.asarray(degrees)
-    if degrees.size and (degrees.dtype.kind not in "iu" or degrees.min() < 0):
+    if degrees.ndim != 1 or degrees.size and (degrees.dtype.kind not in "iu" or degrees.min() < 0):
         raise ValueError(f"degree must be a nonnegative integer, got {degrees!r}")
     x = np.atleast_1d(_check_domain(x))
     out = np.cos(np.outer(degrees, np.arccos(x)))

@@ -319,20 +319,42 @@ def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
     return float(vals) if vals.ndim == 0 else vals
 
 
+def _node_sums(rows: np.ndarray, n: int, grid_size: int) -> np.ndarray:
+    """sum_i |row i| over n node rows, rows holding the first ceil(n/2) (row n-1-i is row i read
+    backwards), on probe_grid(grid_size); for an even M on its half grid j = 0..M/2, where row i
+    is E + O at x_j and E - O at x_{M-j}, row n-1-i the reverse, so the pair adds 2 max(|E|, |O|)
+    at both points and the middle row (n odd) |E + O| at one, |E - O| at the other: <= |E| + |O|."""
+    half = n // 2
+    if grid_size % 2:  # one DCT-I per row on the whole grid
+        mag = probe_values(rows, grid_size)
+        s = np.abs(mag, out=mag)[:half].sum(axis=0)
+        return s + s[::-1] + mag[half:].sum(axis=0)  # and the middle row if n is odd
+    even, odd = (np.abs(v, out=v) for v in _probe_halves(rows, grid_size))
+    inner = even[:, :-1]
+    np.maximum(inner[:half], odd[:half], out=inner[:half])
+    np.add(inner[half:], odd[half:], out=inner[half:])
+    return 2 * even[:half].sum(axis=0) + even[half:].sum(axis=0)
+
+
 def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                    grid_size: int = 10000) -> LebesgueReport:
     """Maximum of the Lebesgue function over probe_grid(grid_size).  For lambda, angle samples
     bound the integral at each probe point from above (4(n+m), then 16(n+m) at the points
     that reach a lower bound from F samples at the one with the largest), and only points
     whose bound reaches that and the largest exact value so far get their roots polished;
-    quad_spec's unconverged count covers those points alone."""
+    quad_spec's unconverged count covers those points alone.  lambda-tilde and lambda-bar take
+    the grid of M/L points first, L the largest divisor of M leaving 16 per degree D = n+m-1.
+    Each sign pattern sum_i +-row_i <= Lambda is a cosine polynomial of degree D, so Bernstein's
+    inequality bounds Lambda between angles h = pi L / M apart by the larger end plus d/(1-d) of
+    their maximum, d = (D h)^2 / 8, and twice a value's roundoff, 8 log2(2M) sqrt(M+1) eps
+    sqrt(2/pi) |c|_1 over rows of p-coefficients c (Higham, Thm 24.2).  The points of intervals
+    whose bound reaches that maximum take lebesgue_fn, so the grid's maximum moves by roundoff."""
     kind = LebesgueKind(kind)
     _check_size(grid_size)
     if grid_size < 1000:
         raise ValueError(f"grid size must be at least 1000, got {grid_size}")
     if kind is LebesgueKind.LAMBDA:
-        # the kernel is even under (x, y) -> (-x, -y), so its Lebesgue
-        # function is even and half the grid suffices
+        # the kernel is even under (x, y) -> (-x, -y), and so is lambda: half the grid suffices
         value, missed = _lambda_max(level, probe_grid(grid_size)[: grid_size // 2 + 1])
         _warn_unconverged(missed)
         spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
@@ -342,22 +364,20 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         # row i is node i's delta through the node map: (pi/n) kernel(x_i, .) for lambda-tilde,
         # interpolating scaling function i for lambda-bar.  As x_{n+1-k} = -x_k and p_r(-x) =
         # (-1)^r p_r(x), row n-1-i is row i read backwards, so only ceil(n/2) rows are built
-        tilde, half = kind is LebesgueKind.LAMBDA_TILDE, level.n // 2
+        tilde, half, deg = kind is LebesgueKind.LAMBDA_TILDE, level.n // 2, level.n + level.m - 1
         rows = _from_v(_node_coords(np.eye(level.n - half, level.n), level, not tilde), level)
         spec = (f"exact node sum over {level.n} kernel sections" if tilde
                 else f"exact sum of {level.n} interpolating scaling functions")
-        if grid_size % 2:  # one DCT-I per row on the whole grid
-            mag = probe_values(rows, grid_size)
-            s = np.abs(mag, out=mag)[:half].sum(axis=0)
-            value = (s + s[::-1] + mag[half:].sum(axis=0)).max()  # and the middle row if n is odd
-        else:  # the half grid j = 0..M/2: row i is E + O at x_j and E - O at x_{M-j}, row
-            # n-1-i the reverse, so the pair adds 2 max(|E|, |O|) at both points; the middle
-            # row (n odd) adds |E + O| at one and |E - O| at the other, at most |E| + |O|
-            even, odd = (np.abs(v, out=v) for v in _probe_halves(rows, grid_size))
-            inner = even[:, :-1]
-            np.maximum(inner[:half], odd[:half], out=inner[:half])
-            np.add(inner[half:], odd[half:], out=inner[half:])
-            value = (2 * even[:half].sum(axis=0) + even[half:].sum(axis=0)).max()
+        step = max([1] + [k for k in range(2, grid_size // (16 * deg) + 1) if grid_size % k == 0])
+        coarse = _node_sums(rows, level.n, grid_size // step)
+        value = coarse.max()
+        if step > 1:  # the n rows' |c|_1 add up to at most twice the built rows' |c|_1
+            d = (deg * np.pi * step / grid_size) ** 2 / 8
+            rise = d / (1 - d) * value + (32 * np.log2(2 * grid_size) * np.sqrt(grid_size + 1)
+                                         * np.finfo(float).eps * SQRT_2_PI * np.abs(rows).sum())
+            top = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + rise >= value)
+            j = np.add.outer(top * step, np.arange(1, step)).ravel()
+            value = max(value, lebesgue_fn(level, kind, np.cos(j * (np.pi / grid_size))).max())
     return LebesgueReport(kind, level.n, level.m, float(value), grid_size, spec)
 
 

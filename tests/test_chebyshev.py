@@ -101,6 +101,16 @@ def test_eval_p_table_refuses_what_eval_p_refuses(degrees):
         eval_p_table(degrees, 0.3)
 
 
+@pytest.mark.parametrize("call", [lambda: eval_p_table(3, 0.3), lambda: eval_p([1, 2], 0.3),
+                                  lambda: eval_p_table([[1, 2]], 0.3),
+                                  lambda: eval_p_table(np.zeros((2, 2), dtype=int), 0.3)],
+                         ids=["scalar", "eval_p-list", "2-d", "2-d-array"])
+def test_eval_p_table_refuses_degrees_that_are_not_1d(call):
+    # a scalar degree used to raise IndexError, a 2-d one a numpy broadcasting error
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        call()
+
+
 def test_eval_p_table_takes_integer_degrees_of_any_width():
     expected = eval_p_table(np.arange(3), [0.3, -0.7])
     for degrees in ([0, 1, 2], np.arange(3, dtype=np.uint8), np.arange(3, dtype=np.int32)):

@@ -349,8 +349,9 @@ def test_lebesgue_integral_says_when_roots_miss_their_rule(monkeypatch):
 
 @pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
 def test_lebesgue_const_rows_take_one_buffer(kind):
-    # the even and odd parts of the ceil(n/2) rows share one buffer of M+1 entries per row,
-    # transformed and taken absolute in place: no second table of that size
+    # the even and odd parts of the ceil(n/2) rows share one buffer of M/L+1 entries per row
+    # (L = 2 here: the coarse grid), transformed and taken absolute in place: no second table
+    # of that size, and no whole-grid table (the bound had M+1 entries per row before)
     level, grid_size = VPLevel(170, 85), 10000
     lebesgue_const(level, kind, grid_size)  # fill every cache first
     tracemalloc.start()
@@ -359,7 +360,51 @@ def test_lebesgue_const_rows_take_one_buffer(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * (level.n - level.n // 2) * (grid_size + 1) * 8
+    assert peak <= 1.25 * (level.n - level.n // 2) * (grid_size // 2 + 1) * 8
+
+
+def _coarse_step(level, grid_size):
+    """The largest divisor L of M that leaves M/L >= 16 (n+m-1), or 1."""
+    degree = level.n + level.m - 1
+    return max([1] + [k for k in range(2, grid_size + 1)
+                      if grid_size % k == 0 and grid_size // k >= 16 * degree])
+
+
+@pytest.mark.parametrize("grid_size, levels", [
+    (10000, [VPLevel(5, 1), VPLevel(26, 13), VPLevel(30, 15), VPLevel(90, 45),
+             VPLevel(170, 85), VPLevel(61, 54)]),
+    (2000, [VPLevel(2, 1), VPLevel(13, 6), VPLevel(40, 20), VPLevel(47, 4)]),
+    (5040, [VPLevel(7, 3), VPLevel(13, 6), VPLevel(30, 3), VPLevel(101, 50)]),
+    (1001, [VPLevel(3, 1), VPLevel(5, 2), VPLevel(6, 3)]),
+], ids=["10000", "2000", "5040", "1001"])  # coarse grids of odd size too: 625, 315, 77, 143
+def test_lebesgue_fn_stays_under_the_bernstein_bound_between_coarse_points(grid_size, levels):
+    # every sign pattern sum_i +-row_i is a cosine polynomial of degree D = n+m-1 in the
+    # angle, and at most Lambda, so Lambda rises over an interval h = pi L / M wide by at
+    # most d/(1-d) of the coarse maximum above its larger end, d = (D h)^2 / 8.  Checked
+    # against lebesgue_fn's whole grid, with a roundoff allowance of 1e-13 of the maximum
+    for level in levels:
+        step = _coarse_step(level, grid_size)
+        assert step > 1, level  # the refinement runs
+        d = ((level.n + level.m - 1) * np.pi * step / grid_size) ** 2 / 8
+        for kind in (LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR):
+            fine = lebesgue_fn(level, kind, probe_grid(grid_size))
+            coarse = fine[::step]
+            bound = (np.maximum(coarse[:-1], coarse[1:])
+                     + (d / (1 - d) + 1e-13) * coarse.max())
+            inner = fine[:-1].reshape(-1, step)[:, 1:]
+            assert np.all(inner <= bound[:, None]), (level, kind)
+
+
+def test_lebesgue_const_finds_the_maximum_between_coarse_points():
+    # lambda-tilde at (13, 6) on grid 2000 is coarse at L = 5; the grid maximum, at j = 846,
+    # lies between coarse points and 2.5e-4 relative above their maximum
+    level, grid_size = L136, 2000
+    assert _coarse_step(level, grid_size) == 5
+    fine = lebesgue_fn(level, LebesgueKind.LAMBDA_TILDE, probe_grid(grid_size))
+    assert np.argmax(fine) == 846 and fine.max() > fine[::5].max() * (1 + 2e-4)
+    got = lebesgue_const(level, LebesgueKind.LAMBDA_TILDE, grid_size).value
+    assert got == pytest.approx(fine.max(), rel=1e-14, abs=0)
+    assert got > fine[::5].max()
 
 
 def test_lebesgue_integral_memory_does_not_grow_with_the_points():
