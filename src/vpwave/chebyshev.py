@@ -155,21 +155,6 @@ def probe_values(coeffs, grid_size: int) -> np.ndarray:
     return scipy.fft.dct(out, type=1, axis=-1, overwrite_x=True)
 
 
-def _probe_halves(coeffs, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The even- and odd-degree parts E and O of sum_r c_r p_r on the half probe grid
-    x_j = cos(j pi / M), j = 0..M/2, for an even M.  As x_{M-j} = -x_j and p_r(-x) =
-    (-1)^r p_r(x), the sum is E + O at x_j and E - O at x_{M-j}.  E is one DCT-I of the
-    folded even degrees (M/2+1 entries) and O one DCT-II of the odd ones (M/2 entries,
-    as O = 0 at j = M/2).  Both are views of one buffer of M+1 entries per row."""
-    a, half = _probe_fold(coeffs, grid_size), grid_size // 2
-    buf = np.zeros(a.shape[:-1] + (grid_size + 1,))
-    even, odd = buf[..., :half + 1], buf[..., half + 1:]
-    even[..., :(a.shape[-1] + 1) // 2] = a[..., ::2]
-    odd[..., :a.shape[-1] // 2] = a[..., 1::2]
-    return (scipy.fft.dct(even, type=1, axis=-1, overwrite_x=True),
-            scipy.fft.dct(odd, type=2, axis=-1, overwrite_x=True))
-
-
 def sup_error(f, g, grid_size: int = 10000) -> float:
     """max |f - g| over probe_grid(grid_size)."""
     xs = probe_grid(grid_size)

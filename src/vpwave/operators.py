@@ -32,7 +32,7 @@ from .chebyshev import (
     _check_domain,
     _check_size,
     _is_integer,
-    _probe_halves,
+    _probe_fold,
     cheb_nodes,
     dct,
     eval_p_table,
@@ -321,15 +321,24 @@ def lebesgue_fn(level: VPLevel, kind: LebesgueKind, x):
 
 def _node_sums(rows: np.ndarray, n: int, grid_size: int) -> np.ndarray:
     """sum_i |row i| over n node rows, rows holding the first ceil(n/2) (row n-1-i is row i read
-    backwards), on probe_grid(grid_size); for an even M on its half grid j = 0..M/2, where row i
-    is E + O at x_j and E - O at x_{M-j}, row n-1-i the reverse, so the pair adds 2 max(|E|, |O|)
-    at both points and the middle row (n odd) |E + O| at one, |E - O| at the other: <= |E| + |O|."""
-    half = n // 2
-    if grid_size % 2:  # one DCT-I per row on the whole grid
+    backwards), on the half grid x_j = cos(j pi / M), j = 0..ceil(M/2).  An odd M takes one DCT-I
+    per row on the whole grid, read on the half.  For an even M, as x_{M-j} = -x_j and p_r(-x) =
+    (-1)^r p_r(x), row i is E + O at x_j and E - O at x_{M-j}: E one DCT-I of its folded even
+    degrees (M/2+1 entries), O one DCT-II of the odd ones (M/2 entries, as O = 0 at j = M/2), in
+    one buffer of M+1 entries per row.  Row n-1-i is the reverse, so the pair adds 2 max(|E|, |O|)
+    at x_j and the middle row (n odd) |E + O| at one, |E - O| at the other: <= |E| + |O|."""
+    half, mid = n // 2, grid_size // 2
+    if grid_size % 2:
         mag = probe_values(rows, grid_size)
         s = np.abs(mag, out=mag)[:half].sum(axis=0)
-        return s + s[::-1] + mag[half:].sum(axis=0)  # and the middle row if n is odd
-    even, odd = (np.abs(v, out=v) for v in _probe_halves(rows, grid_size))
+        return (s + s[::-1] + mag[half:].sum(axis=0))[:mid + 2]  # and the middle row if n is odd
+    a = _probe_fold(rows, grid_size)
+    buf = np.zeros(a.shape[:-1] + (grid_size + 1,))
+    buf[:, :(a.shape[-1] + 1) // 2] = a[:, ::2]
+    buf[:, mid + 1:mid + 1 + a.shape[-1] // 2] = a[:, 1::2]
+    even, odd = (np.abs(v, out=v) for v in (
+        scipy.fft.dct(buf[:, :mid + 1], type=1, axis=-1, overwrite_x=True),
+        scipy.fft.dct(buf[:, mid + 1:], type=2, axis=-1, overwrite_x=True)))
     inner = even[:, :-1]
     np.maximum(inner[:half], odd[:half], out=inner[:half])
     np.add(inner[half:], odd[half:], out=inner[half:])
@@ -338,23 +347,23 @@ def _node_sums(rows: np.ndarray, n: int, grid_size: int) -> np.ndarray:
 
 def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                    grid_size: int = 10000) -> LebesgueReport:
-    """Maximum of the Lebesgue function over probe_grid(grid_size).  For lambda, angle samples
-    bound the integral at each probe point from above (4(n+m), then 16(n+m) at the points
+    """Maximum of the Lebesgue function over probe_grid(grid_size), read on its half j <= ceil(M/2):
+    the kernel is even under (x, y) -> (-x, -y), and so is every kind.  For lambda, angle samples
+    bound the integral at each point j <= M/2 from above (4(n+m), then 16(n+m) at the points
     that reach a lower bound from F samples at the one with the largest), and only points
     whose bound reaches that and the largest exact value so far get their roots polished;
     quad_spec's unconverged count covers those points alone.  lambda-tilde and lambda-bar take
-    the grid of M/L points first, L the largest divisor of M leaving 16 per degree D = n+m-1.
-    Each sign pattern sum_i +-row_i <= Lambda is a cosine polynomial of degree D, so Bernstein's
-    inequality bounds Lambda between angles h = pi L / M apart by the larger end plus d/(1-d) of
-    their maximum, d = (D h)^2 / 8, and twice a value's roundoff, 8 log2(2M) sqrt(M+1) eps
-    sqrt(2/pi) |c|_1 over rows of p-coefficients c (Higham, Thm 24.2).  The points of intervals
-    whose bound reaches that maximum take lebesgue_fn, so the grid's maximum moves by roundoff."""
+    _node_sums on the grid of M/L points first, L the largest divisor of M leaving 16 per degree
+    D = n+m-1.  Each sign pattern sum_i +-row_i <= Lambda is a cosine polynomial of degree D, so
+    Bernstein's inequality bounds Lambda between angles h = pi L / M apart by the larger end plus
+    d/(1-d) of their maximum, d = (D h)^2 / 8, and twice a value's roundoff, 8 log2(2M) sqrt(M+1)
+    eps sqrt(2/pi) |c|_1 over rows of p-coefficients c (Higham, Thm 24.2).  Points j <= M/2 in
+    intervals whose bound reaches that maximum take lebesgue_fn: the maximum moves by roundoff."""
     kind = LebesgueKind(kind)
     _check_size(grid_size)
     if grid_size < 1000:
         raise ValueError(f"grid size must be at least 1000, got {grid_size}")
     if kind is LebesgueKind.LAMBDA:
-        # the kernel is even under (x, y) -> (-x, -y), and so is lambda: half the grid suffices
         value, missed = _lambda_max(level, probe_grid(grid_size)[: grid_size // 2 + 1])
         _warn_unconverged(missed)
         spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
@@ -377,6 +386,7 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                                          * np.finfo(float).eps * SQRT_2_PI * np.abs(rows).sum())
             top = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + rise >= value)
             j = np.add.outer(top * step, np.arange(1, step)).ravel()
+            j = j[j <= grid_size // 2]  # the last interval of an odd coarse grid straddles x = 0
             value = max(value, lebesgue_fn(level, kind, np.cos(j * (np.pi / grid_size))).max())
     return LebesgueReport(kind, level.n, level.m, float(value), grid_size, spec)
 

@@ -11,7 +11,6 @@ from oracles import dct_matrix, gauss_cheb_quad, probe_table, series_mp
 import vpwave
 
 from vpwave.chebyshev import (
-    _probe_halves,
     cheb_nodes,
     dct,
     eval_p,
@@ -264,22 +263,6 @@ def test_series_refuse_scalar_coefficients(evaluate):
     with pytest.raises(ValueError, match="last axis"):
         evaluate(3.0)
     assert np.all(evaluate(np.zeros(0)) == 0.0)  # an empty series is 0
-
-
-@pytest.mark.parametrize("grid_size,degrees", [(8, 5), (1000, 20), (1000, 501), (1000, 1001),
-                                               (1000, 3000)])
-def test_probe_halves_are_the_values_on_both_halves(grid_size, degrees):
-    # E + O at x_j and E - O at x_{M-j}, j = 0..M/2, with and without folding
-    rng = np.random.default_rng(grid_size + degrees)
-    c = rng.standard_normal((3, degrees))
-    even, odd = _probe_halves(c, grid_size)
-    half = grid_size // 2
-    assert even.shape == (3, half + 1) and odd.shape == (3, half)
-    odd = np.pad(odd, [(0, 0), (0, 1)])  # O = 0 at j = M/2
-    expected = probe_values(c, grid_size)
-    bound = 1e-14 * np.abs(c).sum(axis=1, keepdims=True)
-    assert np.all(np.abs(even + odd - expected[:, :half + 1]) <= bound)
-    assert np.all(np.abs(even - odd - expected[:, :half - 1:-1]) <= bound)
 
 
 def test_probe_values_reject_empty_grid():

@@ -347,6 +347,23 @@ def test_lebesgue_integral_says_when_roots_miss_their_rule(monkeypatch):
     assert caught[0].filename == __file__
 
 
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("grid_size,degrees", [(8, 5), (1000, 20), (1000, 501), (1000, 1001),
+                                               (1000, 3000), (9, 5), (1001, 20), (1001, 3000)])
+def test_node_sums_are_the_row_sums_on_the_half_grid(grid_size, degrees, n):
+    # sum_i |row i| over all n rows, j = 0..ceil(M/2): an even M from the half grid's even and
+    # odd parts, an odd M from the whole grid, both with and without folding.  Row n-1-i is row
+    # i read backwards, p_r(-x) = (-1)^r p_r(x), and the middle row (n odd) is its own mirror
+    rng = np.random.default_rng(grid_size + degrees + n)
+    c = rng.standard_normal((n - n // 2, degrees))
+    c[n // 2:, 1::2] = 0.0  # the middle row, if any, has no odd degree
+    rows = np.concatenate([c, (c[:n // 2] * (-1.0) ** np.arange(degrees))[::-1]])
+    got = operators._node_sums(c, n, grid_size)
+    assert got.shape == ((grid_size + 1) // 2 + 1,)
+    expected = np.abs(probe_values(rows, grid_size)).sum(axis=0)[:len(got)]
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(rows).sum())
+
+
 @pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
 def test_lebesgue_const_rows_take_one_buffer(kind):
     # the even and odd parts of the ceil(n/2) rows share one buffer of M/L+1 entries per row
@@ -393,6 +410,27 @@ def test_lebesgue_fn_stays_under_the_bernstein_bound_between_coarse_points(grid_
                      + (d / (1 - d) + 1e-13) * coarse.max())
             inner = fine[:-1].reshape(-1, step)[:, 1:]
             assert np.all(inner <= bound[:, None]), (level, kind)
+
+
+@pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
+@pytest.mark.parametrize("level, grid_size, step", [(VPLevel(22, 11), 10000, 16),
+                                                    (VPLevel(5, 2), 1001, 7)])
+def test_lebesgue_const_refines_no_mirror_point(monkeypatch, level, grid_size, step, kind):
+    # coarse grids of 625 and 143 points: the last interval straddles x = 0, and its fine
+    # points past M/2 are the mirror images of points before it, where Lambda is the same
+    assert _coarse_step(level, grid_size) == step and grid_size // step % 2 == 1
+    points = []
+
+    def spy(level, kind, x):
+        points.append(np.rint(np.arccos(x) * (grid_size / np.pi)))
+        return lebesgue_fn(level, kind, x)
+
+    monkeypatch.setattr(operators, "lebesgue_fn", spy)
+    got = lebesgue_const(level, kind, grid_size).value
+    j = np.concatenate(points)
+    assert j.size and j.max() <= grid_size // 2
+    top = lebesgue_fn(level, kind, probe_grid(grid_size)).max()
+    assert got == pytest.approx(top, rel=1e-14, abs=0)
 
 
 def test_lebesgue_const_finds_the_maximum_between_coarse_points():
@@ -598,8 +636,9 @@ def test_lebesgue_fn_keeps_the_shape_of_x(kind):
 @pytest.mark.parametrize("kind", [LebesgueKind.LAMBDA_TILDE, LebesgueKind.LAMBDA_BAR])
 @pytest.mark.parametrize("level", [L136, L4020, VPLevel(5, 1)])
 def test_lebesgue_fn_reaches_the_constant_on_the_probe_grid(level, kind, grid_size):
-    # off the grid the function comes from V's coordinates of the p_r(x); the constant
-    # from the basis rows, on the half grid's even and odd parts (even M) or whole (odd M)
+    # off the grid the function comes from V's coordinates of the p_r(x); the constant from
+    # the basis rows on the half grid: its even and odd parts (even M), or the whole grid's
+    # transform read on the half (odd M)
     got = lebesgue_fn(level, kind, probe_grid(grid_size)).max()
     assert got == pytest.approx(lebesgue_const(level, kind, grid_size).value, rel=1e-14, abs=0)
 
