@@ -112,16 +112,13 @@ def vp_interp(samples, level: VPLevel) -> np.ndarray:
 # Lebesgue functions and constants
 # ---------------------------------------------------------------------------
 
-def _lambda_max(level: VPLevel, xs: np.ndarray) -> tuple[float, int]:
-    """The maximum of lambda over xs (nonempty), and how many roots of the points it polished
-    missed their rule.  The point with the largest _lambda_bound at 4(n+m) samples gives a
-    _lambda_lower on the maximum; only the points whose bound reaches it take 16(n+m), and a
-    block's one _lambda_polish call takes those that reach it and the largest value so far too."""
-    coarse = np.concatenate([_lambda_bound(b, vals) for b, vals in _lambda_blocks(level, xs, 4)])
-    lower = _lambda_lower(*next(_lambda_blocks(level, xs[[np.argmax(coarse)]])))[0]
-    best, missed = -np.inf, 0
-    for b, vals in _lambda_blocks(level, xs[coarse >= lower]):
-        top = _lambda_bound(b, vals) >= max(lower, best)
+def _lambda_max(level: VPLevel, xs: np.ndarray, best: float) -> tuple[float, int]:
+    """The maximum of lambda over xs and best, a value of lambda, and how many roots of the
+    points it polished missed their rule.  A block's one _lambda_polish call takes the points
+    whose bound at 16(n+m) samples reaches the largest value so far, best at first."""
+    missed = 0
+    for b, vals in _lambda_blocks(level, xs):
+        top = _lambda_bound(b, vals) >= best
         part, count = _lambda_polish(b[:, top], vals[top])
         best, missed = part.max(initial=best), missed + count
     return float(best), missed
@@ -170,23 +167,6 @@ def _degree_sum(a: np.ndarray) -> np.ndarray:
     for row in a[1:]:
         total += row
     return total
-
-
-def _lambda_lower(b: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """A lower bound on lambda at each point of a block, by the triangle inequality: sum_j
-    |F(t_{j+1}) - F(t_j)|, F(t) = b_0 t + sum_s b_s sin(s t)/s from one DST-I of x_s = b_s/s,
-    less roundoff.  Sample errors e_j move it by at most 2 sqrt(N+1) |e|_2.  The sine sums have
-    2-norm sqrt(N/2) |x|_2, and scipy takes the DST-I as an FFT of length 2N, off by 8 log2(2N)
-    eps of that (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2); b_0 t_j, of
-    2-norm <= pi |b_0| sqrt(N+1), x_s and the sums add 4 eps.  The differences and numpy's
-    pairwise sum lose at most (log2 N + 2) eps of the result."""
-    size, eps = vals.shape[1] - 1, np.finfo(float).eps
-    x = b[1:] / np.arange(1, len(b))[:, None]
-    f = np.pad(scipy.fft.dst(x, type=1, n=size - 1, axis=0) / 2, [(1, 1), (0, 0)])
-    f += np.arange(size + 1)[:, None] * (np.pi / size) * b[0]
-    slack = (2 * (size + 1) * (8 * np.log2(2 * size) + 4) * eps
-             * (np.linalg.norm(x, axis=0) + np.pi * np.abs(b[0])))
-    return np.abs(np.diff(f, axis=0)).sum(axis=0) * (1 - (np.log2(size) + 2) * eps) - slack
 
 
 def _lambda_polish(b: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
@@ -347,47 +327,59 @@ def _node_sums(rows: np.ndarray, n: int, grid_size: int) -> np.ndarray:
 
 def lebesgue_const(level: VPLevel, kind: LebesgueKind,
                    grid_size: int = 10000) -> LebesgueReport:
-    """Maximum of the Lebesgue function over probe_grid(grid_size), read on its half j <= ceil(M/2):
-    the kernel is even under (x, y) -> (-x, -y), and so is every kind.  For lambda, angle samples
-    bound the integral at each point j <= M/2 from above (4(n+m), then 16(n+m) at the points
-    that reach a lower bound from F samples at the one with the largest), and only points
-    whose bound reaches that and the largest exact value so far get their roots polished;
-    quad_spec's unconverged count covers those points alone.  lambda-tilde and lambda-bar take
-    _node_sums on the grid of M/L points first, L the largest divisor of M leaving 16 per degree
-    D = n+m-1.  Each sign pattern sum_i +-row_i <= Lambda is a cosine polynomial of degree D, so
-    Bernstein's inequality bounds Lambda between angles h = pi L / M apart by the larger end plus
-    d/(1-d) of their maximum, d = (D h)^2 / 8, and twice a value's roundoff, 8 log2(2M) sqrt(M+1)
-    eps sqrt(2/pi) |c|_1 over rows of p-coefficients c (Higham, Thm 24.2).  Points j <= M/2 in
-    intervals whose bound reaches that maximum take lebesgue_fn: the maximum moves by roundoff."""
+    """Maximum of the Lebesgue function over probe_grid(grid_size), read on its half j <= M/2: the
+    kernel is even under (x, y) -> (-x, -y), and so is every kind.  Every L-th point comes first,
+    L the largest divisor of M leaving M/L >= 16 D, D = n+m-1: the node sums there, or lambda's
+    _lambda_bound.  A sign pattern below the function is a cosine polynomial of degree D, so by
+    Bernstein's inequality the function rises between those points by at most d/(1-d) of their
+    maximum above the larger one, d = (D pi L / M)^2 / 8, plus a node sum's roundoff.  Only the
+    intervals whose bound reaches a known value, the coarse maximum or lambda at the largest
+    bound, are refined, with lambda's coarse points whose bound reaches it; quad_spec's
+    unconverged count covers the points polished."""
     kind = LebesgueKind(kind)
     _check_size(grid_size)
     if grid_size < 1000:
         raise ValueError(f"grid size must be at least 1000, got {grid_size}")
-    if kind is LebesgueKind.LAMBDA:
-        value, missed = _lambda_max(level, probe_grid(grid_size)[: grid_size // 2 + 1])
-        _warn_unconverged(missed)
-        spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
-                "K^2/|K'| <= 2^-53 or roundoff, at most 8 steps"
-                + (f"; {missed} roots unconverged" if missed else ""))
+    deg = level.n + level.m - 1
+    step = max([1] + [k for k in range(2, grid_size // (16 * deg) + 1) if grid_size % k == 0])
+    if kind is LebesgueKind.LAMBDA:  # fine-grid points, so that lambda there is the grid's
+        coarse_x = probe_grid(grid_size)[::step][: (grid_size // step + 1) // 2 + 1]
+        coarse = np.concatenate([_lambda_bound(b, vals)
+                                 for b, vals in _lambda_blocks(level, coarse_x)])
+        seed = np.argmax(coarse[: grid_size // 2 // step + 1])  # not a mirror point
+        (value,), missed = _lambda_polish(*next(_lambda_blocks(level, coarse_x[[seed]])))
+        slack = 0.0  # the bounds hold their own roundoff
     else:  # basis rows on the probe grid: lebesgue_fn is 4-9x slower at M = 10^4, n = 20..170
         # row i is node i's delta through the node map: (pi/n) kernel(x_i, .) for lambda-tilde,
         # interpolating scaling function i for lambda-bar.  As x_{n+1-k} = -x_k and p_r(-x) =
         # (-1)^r p_r(x), row n-1-i is row i read backwards, so only ceil(n/2) rows are built
-        tilde, half, deg = kind is LebesgueKind.LAMBDA_TILDE, level.n // 2, level.n + level.m - 1
+        tilde, half = kind is LebesgueKind.LAMBDA_TILDE, level.n // 2
         rows = _from_v(_node_coords(np.eye(level.n - half, level.n), level, not tilde), level)
         spec = (f"exact node sum over {level.n} kernel sections" if tilde
                 else f"exact sum of {level.n} interpolating scaling functions")
-        step = max([1] + [k for k in range(2, grid_size // (16 * deg) + 1) if grid_size % k == 0])
         coarse = _node_sums(rows, level.n, grid_size // step)
         value = coarse.max()
-        if step > 1:  # the n rows' |c|_1 add up to at most twice the built rows' |c|_1
-            d = (deg * np.pi * step / grid_size) ** 2 / 8
-            rise = d / (1 - d) * value + (32 * np.log2(2 * grid_size) * np.sqrt(grid_size + 1)
-                                         * np.finfo(float).eps * SQRT_2_PI * np.abs(rows).sum())
-            top = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + rise >= value)
-            j = np.add.outer(top * step, np.arange(1, step)).ravel()
-            j = j[j <= grid_size // 2]  # the last interval of an odd coarse grid straddles x = 0
-            value = max(value, lebesgue_fn(level, kind, np.cos(j * (np.pi / grid_size))).max())
+        # twice a value's roundoff, 8 log2(2M) sqrt(M+1) eps sqrt(2/pi) |c|_1 over rows of
+        # p-coefficients c (Higham, Thm 24.2); the n rows' |c|_1 are at most twice the built rows'
+        slack = (32 * np.log2(2 * grid_size) * np.sqrt(grid_size + 1) * np.finfo(float).eps
+                 * SQRT_2_PI * np.abs(rows).sum())
+    d = (deg * np.pi * step / grid_size) ** 2 / 8
+    rise = d / (1 - d) * coarse.max() + slack
+    top = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + rise >= value)
+    j = np.add.outer(top * step, np.arange(1, step)).ravel()
+    if kind is LebesgueKind.LAMBDA:  # its coarse values are bounds: the points that reach value
+        j = np.append(j, np.flatnonzero(coarse >= value) * step)
+    j = j[j <= grid_size // 2]  # the last interval of an odd coarse grid straddles x = 0
+    xs = np.cos(j * (np.pi / grid_size))
+    if kind is LebesgueKind.LAMBDA:  # the seed point is polished once
+        value, count = _lambda_max(level, xs[j != seed * step], value)
+        missed += count
+        _warn_unconverged(missed)
+        spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
+                "K^2/|K'| <= 2^-53 or roundoff, at most 8 steps"
+                + (f"; {missed} roots unconverged" if missed else ""))
+    elif xs.size:
+        value = max(value, lebesgue_fn(level, kind, xs).max())
     return LebesgueReport(kind, level.n, level.m, float(value), grid_size, spec)
 
 
