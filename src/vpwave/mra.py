@@ -14,6 +14,7 @@ one inverse DCT at the base; a merge chain mirrors it from one DCT of the base,
 turning V_n's and W_n's coordinates in place in each level's one 3n buffer.
 """
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -223,16 +224,18 @@ def threshold_keep_top(decomp: MultiDecomposition,
 
 def pyramid_to_json(decomp: MultiDecomposition) -> str:
     """JSON document for a pyramid, laid out exactly as ``json.dumps(doc,
-    indent=1)`` would but written without that pure-Python encoder; floats
-    round-trip bit-exactly, and the value types hold no NaN or infinity."""
-    def floats(a, pad):  # the array of a key whose line starts with pad
-        return f"[{pad} ", f",{pad} ".join(map(float.__repr__, a.tolist())), f"{pad}]"
+    indent=1)`` would but written without that pure-Python encoder.  Each
+    coefficient array is {"f64le": RFC 4648 base64 of its little-endian float64
+    bytes}, so it round-trips bit-exactly; the value types hold no NaN or infinity."""
+    def f64le(a, pad):  # the array of a key whose line starts with pad
+        data = base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode()
+        return f'{{{pad} "f64le": "{data}"{pad}}}'
     parts = [f'{{\n "theta": {float(decomp.theta)!r},\n "n0": {int(decomp.base.level.n)},'
-             f'\n "L": {decomp.levels},\n "base": ', *floats(decomp.base.a, "\n "),
+             f'\n "L": {decomp.levels},\n "base": ', f64le(decomp.base.a, "\n "),
              ',\n "details": [']
     for i, d in enumerate(decomp.details):
         parts += [f'{"," if i else ""}\n  {{\n   "n": {int(d.level.n)},\n   "m": {int(d.level.m)},'
-                  '\n   "b": ', *floats(d.b, "\n   "), "\n  }"]
+                  '\n   "b": ', f64le(d.b, "\n   "), "\n  }"]
     parts.append("\n ]\n}" if decomp.details else "]\n}")
     return "".join(parts)
 
@@ -261,9 +264,13 @@ def _json_number(value) -> int | float:
     return value
 
 
-def _json_numbers(values) -> list:
-    """A JSON list of numbers; strings, booleans and nested lists are refused
-    (the value types refuse NaN, Infinity and integers beyond the float range)."""
+def _json_numbers(values) -> list | np.ndarray:
+    """A JSON list of numbers, or an object {"f64le": base64 string} read as
+    little-endian float64s without a copy; strings, booleans, nested lists, other
+    keys and bad base64 are refused (the value types refuse a wrong count, NaN,
+    Infinity and integers beyond the float range)."""
+    if isinstance(values, dict) and values.keys() == {"f64le"} and isinstance(values["f64le"], str):
+        return np.frombuffer(base64.b64decode(values["f64le"], validate=True), "<f8")
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise TypeError(f"expected a list of numbers, got {str(values)[:40]}")
+        raise TypeError(f"expected a list of numbers or an f64le object, got {str(values)[:40]}")
     return values

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import BAD_F64LE_PYRAMIDS
 
 from vpwave.chebyshev import cheb_nodes
 from vpwave.cli import _parse_int_list, _parse_theta_list, build_parser, main
@@ -266,6 +267,15 @@ def test_reconstruct_malformed_json(tmp_path):
         code = main(["reconstruct", "--pyramid", str(pyr), "--out", str(tmp_path / "r.csv")])
         assert code == 3
         assert not (tmp_path / "r.csv").exists()
+
+
+def test_reconstruct_refuses_bad_f64le_payloads(tmp_path, capsys):
+    pyr, out = tmp_path / "pyr.json", tmp_path / "r.csv"
+    for text in BAD_F64LE_PYRAMIDS:
+        pyr.write_text(text)
+        assert main(["reconstruct", "--pyramid", str(pyr), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: bad pyramid document: ")
+        assert not out.exists()
 
 
 def test_reconstruct_unreadable_pyramid_exits_3(tmp_path, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import analysis_matrices, detail_transform, pyramid_ld, scaling_transform
-from util import max_dev, pyramid_json_oracle, split_matrices
+from util import (BAD_F64LE_PYRAMIDS, legacy_pyramid_json, max_dev, pyramid_json_oracle,
+                  split_matrices)
 
 from vpwave.bases import (
     DetailCoeffs,
@@ -410,19 +411,29 @@ _PINNED_DETAIL = DetailCoeffs(VPLevel(3, 1), [5e-324, 1e16, -1.7976931348623157e
                                               2.0, 0.5, -3.25])
 
 
-@pytest.mark.parametrize("details, expected", [
-    ((), '{\n "theta": 0.5,\n "n0": 3,\n "L": 0,\n "base": [\n  1.0,\n  -0.0,\n  0.1\n ],'
-         '\n "details": []\n}'),
+# the payloads hold 1.0, -0.0, 0.1 and 5e-324, 1e16, -1.7976931348623157e308, 2.0, 0.5,
+# -3.25 as little-endian float64s; the legacy texts are the decimal form earlier versions wrote
+@pytest.mark.parametrize("details, expected, legacy", [
+    ((), '{\n "theta": 0.5,\n "n0": 3,\n "L": 0,\n "base": {\n  "f64le": '
+         '"AAAAAAAA8D8AAAAAAAAAgJqZmZmZmbk/"\n },\n "details": []\n}',
+     '{\n "theta": 0.5,\n "n0": 3,\n "L": 0,\n "base": [\n  1.0,\n  -0.0,\n  0.1\n ],'
+     '\n "details": []\n}'),
     ((_PINNED_DETAIL,),
+     '{\n "theta": 0.5,\n "n0": 3,\n "L": 1,\n "base": {\n  "f64le": '
+     '"AAAAAAAA8D8AAAAAAAAAgJqZmZmZmbk/"\n },\n "details": [\n  {\n   "n": 3,\n   "m": 1,'
+     '\n   "b": {\n    "f64le": '
+     '"AQAAAAAAAAAAgOA3ecNBQ////////+//AAAAAAAAAEAAAAAAAADgPwAAAAAAAArA"\n   }\n  }\n ]\n}',
      '{\n "theta": 0.5,\n "n0": 3,\n "L": 1,\n "base": [\n  1.0,\n  -0.0,\n  0.1\n ],'
      '\n "details": [\n  {\n   "n": 3,\n   "m": 1,\n   "b": [\n    5e-324,\n    1e+16,'
      '\n    -1.7976931348623157e+308,\n    2.0,\n    0.5,\n    -3.25\n   ]\n  }\n ]\n}'),
-])
-def test_pyramid_json_pinned_layout(details, expected):
+], ids=["no-details", "one-detail"])
+def test_pyramid_json_pinned_layout(details, expected, legacy):
     # built without a DCT, so the text does not depend on the numpy/scipy version
     decomp = MultiDecomposition(0.5, _PINNED_BASE, details)
     assert pyramid_to_json(decomp) == expected
     assert pyramid_json_oracle(decomp) == expected
+    assert legacy_pyramid_json(decomp) == legacy
+    assert pyramid_to_json(pyramid_from_json(legacy)) == expected
 
 
 def test_pyramid_json_takes_numpy_sizes_and_theta():
@@ -476,6 +487,8 @@ _BAD_PYRAMIDS = [
     # details that are not a list, an integer past the parser's digit limit
     '{"theta": 0.5, "n0": 5, "L": 0, "base": [0, 0, 0, 0, 0], "details": {}}',
     '{"theta": 0.5, "n0": 1' + '0' * 5000 + ', "L": 0, "base": [0, 0, 0, 0, 0], "details": []}',
+    # f64le objects that are malformed, hold a wrong byte count or a non-finite bit pattern
+    *BAD_F64LE_PYRAMIDS,
 ]
 
 
@@ -517,6 +530,24 @@ def test_pyramid_levels_take_one_buffer_each():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 2.85 and peaks[1] <= 2.5 and peaks[2] <= 1.6, peaks
+
+
+def test_pyramid_from_json_peak_memory():
+    # at 3n = 59049 the parsed document holds the payload strings (4/3 of the arrays' bytes),
+    # and each decoded payload is viewed as the array it holds, uncopied; base64's ASCII
+    # encoding of the top detail's string (0.89 buffers) rides on top.  In units of one
+    # 59049-float buffer the peak reads 3.23; the decimal parse peaked at 5.18
+    size = 81 * 3 ** 6
+    x = cheb_nodes(size)
+    text = pyramid_to_json(decompose_multi(np.sin(40 * x) + np.abs(x - 0.2), 81, 6, 0.5))
+    tracemalloc.start()
+    try:
+        back = pyramid_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * size)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.55, peak
+    assert not any(a.flags.owndata for a in (back.base.a, *(d.b for d in back.details)))
 
 
 def test_outputs_hold_read_only_arrays_of_their_own():

@@ -1,10 +1,12 @@
 """Property tests of the ramp rotation and the one-step split and merge over
 random levels (n, m), of random pyramids against their inverse and the
 chained one-step splits, of the pyramid level chain against its JSON round
-trip, of the JSON writer against the indenting encoder, of the keep-top
+trip, of the JSON writer against the indenting encoder, of the decimal
+documents of earlier versions against the base64 ones, of the keep-top
 selection against a stable sort, and of every array-taking entry point
 against writing its inputs."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import analysis_matrices
-from util import max_dev, pyramid_json_oracle
+from util import legacy_pyramid_json, max_dev, pyramid_json_oracle
 
 from vpwave.bases import (DetailCoeffs, ScalingCoeffs, detail_analysis, detail_synthesis,
                           values_to_ortho)
@@ -155,24 +157,58 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16
                 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -7.0, 2.0 ** 53]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(n0=st.integers(3, 12), theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       levels=st.integers(0, 3),
-       pool=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                     | st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=12),
-       seed=st.integers(0, 2**32 - 1))
-@example(n0=3, theta=0.5, levels=2, pool=_EDGE_FLOATS, seed=0)
-def test_pyramid_json_matches_the_indenting_encoder(n0, theta, levels, pool, seed):
+def _edge_pyramid(n0, theta, levels, pool, seed):
+    """A pyramid with coefficients drawn from ``pool``, or None for a base level too small."""
     try:
         m = pyramid_m(n0, theta)
     except ValueError:
-        return
+        return None
     rng = np.random.default_rng(seed)
     base = ScalingCoeffs(VPLevel(n0, m), rng.choice(pool, n0))
     details = [DetailCoeffs(VPLevel(n0 * 3 ** i, m), rng.choice(pool, 2 * n0 * 3 ** i))
                for i in range(levels)]
-    decomp = MultiDecomposition(theta, base, details)
-    assert pyramid_to_json(decomp) == pyramid_json_oracle(decomp)
+    return MultiDecomposition(theta, base, details)
+
+
+_EDGE_PYRAMID_ARGS = dict(
+    n0=st.integers(3, 12), theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    levels=st.integers(0, 3),
+    pool=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**_EDGE_PYRAMID_ARGS)
+@example(n0=3, theta=0.5, levels=2, pool=_EDGE_FLOATS, seed=0)
+def test_pyramid_json_matches_the_indenting_encoder(n0, theta, levels, pool, seed):
+    decomp = _edge_pyramid(n0, theta, levels, pool, seed)
+    if decomp is not None:
+        assert pyramid_to_json(decomp) == pyramid_json_oracle(decomp)
+
+
+def _arrays(decomp):
+    return [decomp.base.a.tobytes(), *(d.b.tobytes() for d in decomp.details)]
+
+
+# a decimal document of an earlier version, the base64 one and a document that mixes both
+# forms (the base and every other detail decimal) parse to the same bits and write one text
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**_EDGE_PYRAMID_ARGS)
+@example(n0=3, theta=0.5, levels=2, pool=_EDGE_FLOATS, seed=0)
+def test_decimal_and_base64_documents_parse_alike(n0, theta, levels, pool, seed):
+    decomp = _edge_pyramid(n0, theta, levels, pool, seed)
+    if decomp is None:
+        return
+    text, legacy = pyramid_to_json(decomp), legacy_pyramid_json(decomp)
+    mixed, decimal = json.loads(text), json.loads(legacy)
+    mixed["base"] = decimal["base"]
+    for d, e in list(zip(mixed["details"], decimal["details"]))[::2]:
+        d["b"] = e["b"]
+    for doc in (text, legacy, json.dumps(mixed)):
+        back = pyramid_from_json(doc)
+        assert _arrays(back) == _arrays(decomp)
+        assert pyramid_to_json(back) == text
 
 
 # integer-valued details (signed zeros included) tie often; the kept set must

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import base64
 import json
+import struct
 
 import numpy as np
 
@@ -28,20 +30,57 @@ def quad_gram(coeffs_a, coeffs_b, n_quad):
     return (np.pi / n_quad) * va @ vb.T
 
 
-def pyramid_json_oracle(decomp):
-    """The pyramid document as ``json.dumps(doc, indent=1)`` renders it: the
-    layout that pyramid_to_json writes without the encoder."""
-    doc = {
+def _pyramid_doc(decomp, array):
+    return {
         "theta": decomp.theta,
         "n0": decomp.base.level.n,
         "L": decomp.levels,
-        "base": [float(x) for x in decomp.base.a],
-        "details": [
-            {"n": d.level.n, "m": d.level.m, "b": [float(x) for x in d.b]}
-            for d in decomp.details
-        ],
+        "base": array(decomp.base.a),
+        "details": [{"n": d.level.n, "m": d.level.m, "b": array(d.b)} for d in decomp.details],
     }
-    return json.dumps(doc, indent=1)
+
+
+def f64le(values):
+    """{"f64le": base64 of the values packed as little-endian float64s}, built with
+    struct rather than numpy's tobytes."""
+    values = [float(x) for x in values]
+    return {"f64le": base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")}
+
+
+def pyramid_json_oracle(decomp):
+    """The pyramid document as ``json.dumps(doc, indent=1)`` renders it: the
+    layout that pyramid_to_json writes without the encoder."""
+    return json.dumps(_pyramid_doc(decomp, f64le), indent=1)
+
+
+def legacy_pyramid_json(decomp):
+    """The same document with every array as a list of decimal numbers, the form
+    that earlier versions wrote and that pyramid_from_json still reads."""
+    return json.dumps(_pyramid_doc(decomp, lambda a: [float(x) for x in a]), indent=1)
+
+
+def _level0_pyramid(base):
+    return json.dumps({"theta": 0.5, "n0": 5, "L": 0, "base": base, "details": []})
+
+
+_ZEROS = f64le([0.0] * 5)["f64le"]  # the five base coefficients of a level-0 pyramid at n0 = 5
+
+# level-0 pyramids at n0 = 5 whose base is a malformed f64le object: a number or a list as
+# its value, no key, an extra key, a character outside the alphabet (which a lenient decoder
+# would skip), a missing pad, one float too few, half a float too many, and the NaN and +inf
+# bit patterns
+BAD_F64LE_PYRAMIDS = [
+    _level0_pyramid({"f64le": 0}),
+    _level0_pyramid({"f64le": [0, 0, 0, 0, 0]}),
+    _level0_pyramid({}),
+    _level0_pyramid({"f64le": _ZEROS, "n": 5}),
+    _level0_pyramid({"f64le": _ZEROS[:8] + "!" + _ZEROS[8:]}),
+    _level0_pyramid({"f64le": _ZEROS[:-1]}),
+    _level0_pyramid(f64le([0.0] * 4)),
+    _level0_pyramid({"f64le": base64.b64encode(bytes(44)).decode("ascii")}),
+    _level0_pyramid(f64le([0.0, 0.0, float("nan"), 0.0, 0.0])),
+    _level0_pyramid(f64le([0.0, 0.0, 0.0, 0.0, float("inf")])),
+]
 
 
 def max_dev(actual, expected):
