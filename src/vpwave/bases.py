@@ -50,7 +50,7 @@ def _vector(values, size: int, what: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingCoeffs:
     """Coefficients (length n) in the orthonormal scaling basis at ``level``,
     held as a read-only copy of the array given, which must be finite."""
@@ -62,7 +62,7 @@ class ScalingCoeffs:
         _hold(self, self.a, copy=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetailCoeffs:
     """Coefficients (length 2n) in the orthonormal wavelet basis at ``level``,
     held as a read-only copy of the array given, which must be finite."""

@@ -14,7 +14,7 @@ one inverse DCT at the base; a merge chain mirrors it from one DCT of the base,
 turning V_n's and W_n's coordinates in place in each level's one 3n buffer.
 """
 
-import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -73,7 +73,7 @@ def _merge_chain(a: ScalingCoeffs, details: tuple) -> ScalingCoeffs:
 # multilevel pyramids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiDecomposition:
     """Base scaling coefficients at the coarsest level plus one detail vector
     per level of the factor-3 chain, ordered coarsest first.
@@ -181,8 +181,8 @@ def _rebuild(decomp: MultiDecomposition,
     total = sum(d.b.size for d in decomp.details)
     kept = sum(int(np.count_nonzero(nb)) for nb in kept_details)
     # einsum, not `@`: the cost and the rounding of a BLAS dot product depend on its threads
-    energy_total = sum(float(np.einsum("i,i", d.b, d.b)) for d in decomp.details)
-    energy_kept = sum(float(np.einsum("i,i", nb, nb)) for nb in kept_details)
+    energy_total = sum((float(np.einsum("i,i", d.b, d.b)) for d in decomp.details), 0.0)
+    energy_kept = sum((float(np.einsum("i,i", nb, nb)) for nb in kept_details), 0.0)
     details = tuple(_own(DetailCoeffs, d.level, nb) for d, nb in zip(decomp.details, kept_details))
     return (MultiDecomposition(decomp.theta, decomp.base, details),
             ThresholdReport(kept, total, energy_kept, energy_total))
@@ -228,7 +228,7 @@ def pyramid_to_json(decomp: MultiDecomposition) -> str:
     coefficient array is {"f64le": RFC 4648 base64 of its little-endian float64
     bytes}, so it round-trips bit-exactly; the value types hold no NaN or infinity."""
     def f64le(a, pad):  # the array of a key whose line starts with pad
-        data = base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode()
+        data = binascii.b2a_base64(a.astype("<f8", copy=False).tobytes(), newline=False).decode()
         return f'{{{pad} "f64le": "{data}"{pad}}}'
     parts = [f'{{\n "theta": {float(decomp.theta)!r},\n "n0": {int(decomp.base.level.n)},'
              f'\n "L": {decomp.levels},\n "base": ', f64le(decomp.base.a, "\n "),
@@ -267,10 +267,10 @@ def _json_number(value) -> int | float:
 def _json_numbers(values) -> list | np.ndarray:
     """A JSON list of numbers, or an object {"f64le": base64 string} read as
     little-endian float64s without a copy; strings, booleans, nested lists, other
-    keys and bad base64 are refused (the value types refuse a wrong count, NaN,
-    Infinity and integers beyond the float range)."""
+    keys and bad base64, whitespace and non-ASCII included, are refused (the value
+    types refuse a wrong count, NaN, Infinity and integers beyond the float range)."""
     if isinstance(values, dict) and values.keys() == {"f64le"} and isinstance(values["f64le"], str):
-        return np.frombuffer(base64.b64decode(values["f64le"], validate=True), "<f8")
+        return np.frombuffer(binascii.a2b_base64(values["f64le"], strict_mode=True), "<f8")
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise TypeError(f"expected a list of numbers or an f64le object, got {str(values)[:40]}")
     return values

@@ -112,30 +112,18 @@ def vp_interp(samples, level: VPLevel) -> np.ndarray:
 # Lebesgue functions and constants
 # ---------------------------------------------------------------------------
 
-def _lambda_max(level: VPLevel, xs: np.ndarray, best: float) -> tuple[float, int]:
-    """The maximum of lambda over xs and best, a value of lambda, and how many roots of the
-    points it polished missed their rule.  A block's one _lambda_polish call takes the points
-    whose bound at 16(n+m) samples reaches the largest value so far, best at first."""
-    missed = 0
-    for b, vals in _lambda_blocks(level, xs):
-        top = _lambda_bound(b, vals) >= best
-        part, count = _lambda_polish(b[:, top], vals[top])
-        best, missed = part.max(initial=best), missed + count
-    return float(best), missed
-
-
 def _warn_unconverged(missed: int) -> None:
     if missed:
         warnings.warn(f"lambda: {missed} kernel roots unconverged after 8 Newton steps",
                       RuntimeWarning, stacklevel=3)
 
 
-def _lambda_blocks(level: VPLevel, xs: np.ndarray, k: int = 16) -> Iterator[tuple]:
+def _lambda_blocks(level: VPLevel, xs: np.ndarray) -> Iterator[tuple]:
     """The sampling stage of lambda on xs, in blocks of about 2^20 angle samples so that memory
     does not grow with xs (an empty xs still takes one, empty, block).  A block is (b, vals):
     the coefficients of kernel(x, cos t) = sum_s b_s cos(s t), a column per point, and the
-    kernel at the angles j h, h = pi / N, j = 0..N, N = k(n+m), a row per point."""
-    size = k * (level.n + level.m)
+    kernel at the angles j h, h = pi / N, j = 0..N, N = 16(n+m), a row per point."""
+    size = 16 * (level.n + level.m)
     step = max(1, (1 << 20) // size)
     for j in range(0, max(len(xs), 1), step):
         sections = _kernel_sections(level, xs[j:j + step])
@@ -371,9 +359,12 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         j = np.append(j, np.flatnonzero(coarse >= value) * step)
     j = j[j <= grid_size // 2]  # the last interval of an odd coarse grid straddles x = 0
     xs = np.cos(j * (np.pi / grid_size))
-    if kind is LebesgueKind.LAMBDA:  # the seed point is polished once
-        value, count = _lambda_max(level, xs[j != seed * step], value)
-        missed += count
+    if kind is LebesgueKind.LAMBDA:  # the seed point is polished once, and a block's one
+        # polish takes the points whose bound reaches the largest value so far
+        for b, vals in _lambda_blocks(level, xs[j != seed * step]):
+            top = _lambda_bound(b, vals) >= value
+            part, count = _lambda_polish(b[:, top], vals[top])
+            value, missed = part.max(initial=value), missed + count
         _warn_unconverged(missed)
         spec = ("exact integral between kernel roots: 16(n+m) angle brackets, Newton to "
                 "K^2/|K'| <= 2^-53 or roundoff, at most 8 steps"

@@ -441,7 +441,7 @@ def test_lebesgue_const_refines_no_mirror_point(monkeypatch, level, grid_size, s
     monkeypatch.setattr(operators, "lebesgue_fn",
                         lambda level, kind, x: record(x) or fn(level, kind, x))
     monkeypatch.setattr(operators, "_lambda_blocks",
-                        lambda level, xs, k=16: record(xs) or blocks(level, xs, k))
+                        lambda level, xs: record(xs) or blocks(level, xs))
     got = lebesgue_const(level, kind, grid_size).value
     if kind is LebesgueKind.LAMBDA:
         assert points[0].max() > grid_size // 2
@@ -514,12 +514,14 @@ def test_lebesgue_const_polishes_only_points_whose_bound_reaches_the_maximum(new
     # points whose bound reaches that value, take 16(n+m) samples in one block and one polish
     # call, which takes only those whose bound reaches the maximum: 201 coarse points, 40
     # refined, 29 polished with the seed, and 940 (value, slope) points
-    sampled, polished = [], []
+    sampled, sizes, polished = [], [], []
     blocks, polish = operators._lambda_blocks, operators._lambda_polish
 
-    def counted_blocks(level, xs, k=16):
-        sampled.append((k, len(xs)))
-        return blocks(level, xs, k)
+    def counted_blocks(level, xs):
+        sampled.append(len(xs))
+        for b, vals in blocks(level, xs):
+            sizes.append(vals.shape[1] - 1)
+            yield b, vals
 
     def counted_polish(b, vals):
         polished.append(len(vals))
@@ -529,10 +531,10 @@ def test_lebesgue_const_polishes_only_points_whose_bound_reaches_the_maximum(new
     monkeypatch.setattr(operators, "_lambda_polish", counted_polish)
     lebesgue_const(L136, LebesgueKind.LAMBDA, 2000)
     assert sum(newton_points) <= 3000
-    assert [k for k, points in sampled] == [16, 16, 16]
-    assert sampled[0][1] == 201 and sampled[1][1] == 1  # the coarse grid, then its seed point
-    assert sampled[2][1] < 1001 / 10
-    assert polished[0] == 1 and len(polished) == 2 and polished[1] < sampled[2][1]
+    assert sizes == [16 * (L136.n + L136.m)] * 3
+    assert sampled[0] == 201 and sampled[1] == 1  # the coarse grid, then its seed point
+    assert sampled[2] < 1001 / 10
+    assert polished[0] == 1 and len(polished) == 2 and polished[1] < sampled[2]
 
 
 @pytest.mark.parametrize("grid_size", [1000, 1001])
@@ -585,8 +587,9 @@ def test_lambda_polish_reads_its_spacing_from_its_block(level):
     # a block sampled at 32(n+m) polishes to lebesgue_fn's integral at 16(n+m); it came
     # back 2.9-3.3x off when the polish took the spacing as pi / (16(n+m)) whatever it got
     xs = probe_grid(2000)[:1001]
-    fine = np.concatenate([operators._lambda_polish(b, vals)[0]
-                           for b, vals in operators._lambda_blocks(level, xs, 32)])
+    (b, _), = operators._lambda_blocks(level, xs)
+    vals = probe_values(operators._kernel_sections(level, xs), 32 * (level.n + level.m))
+    fine, _ = operators._lambda_polish(b, vals)
     assert_allclose(fine, lebesgue_fn(level, LebesgueKind.LAMBDA, xs), rtol=1e-14, atol=0)
 
 
@@ -594,9 +597,9 @@ def test_lambda_polish_reads_its_spacing_from_its_block(level):
 def test_lambda_polish_refuses_fewer_than_16_samples_per_degree(level):
     # at 4(n+m) samples the pair test missed a root pair at (25, 7) by 8.3e-6, unwarned
     xs = probe_grid(2000)[:1001]
-    for b, vals in operators._lambda_blocks(level, xs, 4):
+    for b, vals in operators._lambda_blocks(level, xs):
         with pytest.raises(ValueError, match="16 samples per degree"):
-            operators._lambda_polish(b, vals)
+            operators._lambda_polish(b, vals[:, ::4])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -604,12 +607,12 @@ def test_lambda_polish_refuses_fewer_than_16_samples_per_degree(level):
            lambda n: st.builds(VPLevel, st.just(n), st.integers(1, n - 1))),
        grid_size=st.integers(1000, 3000))
 def test_lambda_bound_is_above_the_integral_at_every_probe_point(level, grid_size):
-    # the upper bounds from 16(n+m) and 4(n+m) samples
+    # the upper bounds from the 16(n+m) samples and from every 4th of them, 4(n+m)
     xs = probe_grid(grid_size)[: grid_size // 2 + 1]
     lam = lebesgue_fn(level, LebesgueKind.LAMBDA, xs)
-    for k in (16, 4):
-        bound = np.concatenate([operators._lambda_bound(b, vals)
-                                for b, vals in operators._lambda_blocks(level, xs, k)])
+    for k in (1, 4):
+        bound = np.concatenate([operators._lambda_bound(b, vals[:, ::k])
+                                for b, vals in operators._lambda_blocks(level, xs)])
         assert np.all(bound >= lam), k
 
 

@@ -66,15 +66,18 @@ def _level0_pyramid(base):
 _ZEROS = f64le([0.0] * 5)["f64le"]  # the five base coefficients of a level-0 pyramid at n0 = 5
 
 # level-0 pyramids at n0 = 5 whose base is a malformed f64le object: a number or a list as
-# its value, no key, an extra key, a character outside the alphabet (which a lenient decoder
-# would skip), a missing pad, one float too few, half a float too many, and the NaN and +inf
-# bit patterns
+# its value, no key, an extra key, a character outside the alphabet, a non-ASCII one, a newline
+# and a space (which a lenient decoder would skip), a missing pad, one float too few, half a
+# float too many, and the NaN and +inf bit patterns
 BAD_F64LE_PYRAMIDS = [
     _level0_pyramid({"f64le": 0}),
     _level0_pyramid({"f64le": [0, 0, 0, 0, 0]}),
     _level0_pyramid({}),
     _level0_pyramid({"f64le": _ZEROS, "n": 5}),
     _level0_pyramid({"f64le": _ZEROS[:8] + "!" + _ZEROS[8:]}),
+    _level0_pyramid({"f64le": _ZEROS[:8] + "\u00e9" + _ZEROS[8:]}),
+    _level0_pyramid({"f64le": _ZEROS[:8] + "\n" + _ZEROS[8:]}),
+    _level0_pyramid({"f64le": _ZEROS[:8] + " " + _ZEROS[8:]}),
     _level0_pyramid({"f64le": _ZEROS[:-1]}),
     _level0_pyramid(f64le([0.0] * 4)),
     _level0_pyramid({"f64le": base64.b64encode(bytes(44)).decode("ascii")}),
