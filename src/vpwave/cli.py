@@ -6,6 +6,7 @@ pyramid data.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,7 +75,7 @@ def _write_files(files: dict[str, str]) -> None:
     try:
         for path, text in files.items():
             temps.append(f"{path}.{os.getpid()}.tmp")
-            with open(temps[-1], "w", newline="") as fh:
+            with open(temps[-1], "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
         for tmp, path in reversed(list(zip(temps, files))):
             os.replace(tmp, path)
@@ -121,8 +122,8 @@ def cmd_lebesgue(args) -> int:
 
 def _read_samples(path: str) -> np.ndarray:
     try:
-        with open(path) as fh:
-            values = [float(line.strip()) for line in fh if line.strip()]
+        with open(path, encoding="utf-8") as fh:  # \r\n and \r read as \n, which alone splits
+            values = list(map(float, filter(None, map(str.strip, fh.read().split("\n")))))
     except ValueError as exc:
         raise ValueError(f"malformed sample file {path!r}: {exc}") from exc
     if not values:
@@ -147,7 +148,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     try:
-        with open(args.pyramid) as fh:
+        with open(args.pyramid, encoding="utf-8") as fh:
             decomp = pyramid_from_json(fh.read())
     except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text
         raise PyramidError(f"cannot read pyramid file {args.pyramid!r}: {exc}") from exc
@@ -175,7 +176,10 @@ def cmd_basis(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once and shared by each call of `main`:
+    do not mutate it.  Each `parse_args` call starts a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="vpwave",
         description="Experiments with de la Vallee Poussin scaling/wavelet bases",

@@ -2,6 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from util import BAD_F64LE_PYRAMIDS
 
+import vpwave
 from vpwave.chebyshev import cheb_nodes
 from vpwave.cli import _parse_int_list, _parse_theta_list, build_parser, main
 from vpwave.functions import get_function
@@ -194,6 +199,45 @@ def test_decompose_malformed_samples(tmp_path):
                      "--levels", "0", "--theta", "0.5", "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert not (tmp_path / "x.json").exists()
+
+
+def _decompose_five(sfile, out):
+    return main(["decompose", "--samples", str(sfile), "--n0", "5", "--levels", "0",
+                 "--theta", "0.5", "--out", str(out)])
+
+
+# the sample-file grammar: lines end in LF, CRLF or a lone CR, blank and whitespace-only
+# lines are skipped, and each other line, stripped, is one number as Python's float reads it
+@pytest.mark.parametrize("text", [
+    "0.5\n-1.25\n2.0\n3.0\n1_0\n",
+    "0.5\r\n-1.25\r\n2.0\r\n3.0\r\n10\r\n",
+    "0.5\r-1.25\r2.0\r3.0\r10",
+    "\n  0.5\n\t\n-1.25 \n\t2.0\t\n\f3.0\f\n \r\n10.0",
+])
+def test_sample_file_grammar_accepts(tmp_path, text):
+    plain, sfile = tmp_path / "plain.csv", tmp_path / "samples.csv"
+    plain.write_bytes(b"0.5\n-1.25\n2.0\n3.0\n10.0\n")
+    sfile.write_bytes(text.encode("utf-8"))
+    assert _decompose_five(plain, tmp_path / "plain.json") == 0
+    assert _decompose_five(sfile, tmp_path / "x.json") == 0
+    assert (tmp_path / "x.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+# each file would hold five values if the line were split at its whitespace or at every
+# line break that str.splitlines knows, or if a byte order mark were dropped
+@pytest.mark.parametrize("text, line", [
+    ("0.5\n-1.25 2.0\n3.0\n10\n", "-1.25 2.0"),
+    ("0.5\n-1.25\v2.0\n3.0\n10\n", "-1.25\v2.0"),
+    ("0.5\n-1.25\u20282.0\n3.0\n10\n", "-1.25\u20282.0"),
+    ("\ufeff0.5\n-1.25\n2.0\n3.0\n10\n", "\ufeff0.5"),
+])
+def test_sample_file_grammar_refuses(tmp_path, capsys, text, line):
+    sfile, out = tmp_path / "samples.csv", tmp_path / "x.json"
+    sfile.write_bytes(text.encode("utf-8"))
+    assert _decompose_five(sfile, out) == 2
+    assert capsys.readouterr().err == (f"error: malformed sample file {str(sfile)!r}: "
+                                       f"could not convert string to float: {line!r}\n")
+    assert not out.exists()
 
 
 def test_decompose_empty_sample_file(tmp_path, capsys):
@@ -488,3 +532,60 @@ def test_parser_gives_a_namespace_or_exits_0_or_2(argv):
             assert exc.code in (0, 2)
         else:
             assert isinstance(args, argparse.Namespace)
+
+
+# the README's CLI invocations, in order
+_README_INVOCATIONS = [
+    "error --f sin --op discrete --theta 0.5 --n 10:10:100 --out errors.csv",
+    "lebesgue --kind lambda-tilde --theta 0.5 --n 10:10:100 --out leb.csv",
+    "decompose --f sin6sign --n0 64 --levels 3 --theta 0.7 --out pyr.json",
+    "reconstruct --pyramid pyr.json --out samples.csv",
+    "basis --family phi-ortho --n 13 --m 6 --k 7 --out phi.csv",
+]
+
+
+def test_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    # the reference: one fresh process per invocation, run in its own directory, so the
+    # package's location goes on its path as an absolute one
+    package_root = str(pathlib.Path(vpwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    printed = [subprocess.run([sys.executable, "-m", "vpwave.cli", *line.split()], cwd=fresh,
+                              env=env, capture_output=True, text=True, check=True).stdout
+               for line in _README_INVOCATIONS]
+    expected = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert len(expected) == 7  # the two sweeps write a sidecar each
+
+    def run_all(name):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for line, out in zip(_README_INVOCATIONS, printed):
+            assert main(line.split()) == 0
+            assert capsys.readouterr().out == out
+        assert {p.name: p.read_bytes() for p in pathlib.Path().iterdir()} == expected
+
+    run_all("first")
+    # between the two runs: a help page, an argument error and a bad pyramid
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--help"])
+    assert exc.value.code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--family", "phi", "--n", "13", "--m", "6", "--k", "x", "--out", "x.csv"])
+    assert exc.value.code == 2
+    (tmp_path / "bad.json").write_text("{broken")
+    assert main(["reconstruct", "--pyramid", "bad.json", "--out", "x.csv"]) == 3
+    capsys.readouterr()
+    run_all("second")
+
+
+def test_shared_parser_starts_each_namespace_afresh():
+    q = build_parser().parse_args(["basis", "--family", "q", "--n", "13", "--m", "6", "--r", "3",
+                                   "--grid", "2000", "--out", "x"])
+    assert (q.grid, q.r, q.k) == (2000, 3, None)
+    phi = build_parser().parse_args(["basis", "--family", "phi-ortho", "--n", "13", "--m", "6",
+                                     "--k", "7", "--out", "x"])
+    assert (phi.grid, phi.r, phi.k) == (10000, None, 7)

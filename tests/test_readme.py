@@ -11,7 +11,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_quick_start_runs():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
     assert len(blocks) == 1
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
@@ -21,7 +21,8 @@ def test_readme_quick_start_runs():
 
 
 def test_readme_api_list_is_all_and_the_namespace():
-    section = re.search(r"^## API\n(.*?)(?=^## )", README.read_text(), flags=re.S | re.M)
+    section = re.search(r"^## API\n(.*?)(?=^## )", README.read_text(encoding="utf-8"),
+                        flags=re.S | re.M)
     listed = re.findall(r"^\* `(\w+)", section.group(1), flags=re.M)
     assert set(listed) == set(vpwave.__all__)
     assert len(listed) == len(set(listed)) and len(vpwave.__all__) == len(set(vpwave.__all__))
