@@ -17,6 +17,7 @@ along the last axis, so a stack of sequences is transformed at once.
 
 import math
 import numbers
+import sys
 
 import numpy as np
 import scipy.fft
@@ -31,11 +32,13 @@ def _is_integer(value) -> bool:
 
 
 def _check_size(size) -> None:
-    """A grid size is a positive integer."""
+    """A grid size is a positive integer within an array's length."""
     if not _is_integer(size):
         raise ValueError(f"grid size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError(f"grid size must be positive, got {size}")
+    if size >= sys.maxsize:  # probe_grid(M) has M + 1 points
+        raise ValueError(f"grid size {size} is beyond an array's length")
 
 
 def cheb_nodes(n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .filters import VPLevel
 from .functions import get_function
 from .mra import (
     PyramidError,
-    _chain_m,
+    _chain_top,
     decompose_multi,
     pyramid_from_json,
     pyramid_to_json,
@@ -132,8 +132,7 @@ def _read_samples(path: str) -> np.ndarray:
 
 
 def cmd_decompose(args) -> int:
-    _chain_m(args.n0, args.levels, args.theta)  # decompose_multi's checks, before n_top
-    n_top = args.n0 * 3 ** args.levels
+    n_top = _chain_top(args.n0, args.levels, args.theta).n  # decompose_multi's checks, first
     if args.f is not None:
         samples = get_function(args.f)(cheb_nodes(n_top))
     else:

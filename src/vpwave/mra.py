@@ -17,6 +17,7 @@ turning V_n's and W_n's coordinates in place in each level's one 3n buffer.
 import binascii
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,7 @@ class MultiDecomposition:
         object.__setattr__(self, "details", tuple(self.details))
         n = self.base.level.n
         try:
-            m = pyramid_m(n, self.theta)
+            m = _chain_top(n, len(self.details), self.theta).m
         except (TypeError, ValueError) as exc:
             raise PyramidError(str(exc)) from exc
         if self.base.level.m != m:
@@ -110,36 +111,30 @@ class MultiDecomposition:
     def levels(self) -> int:
         return len(self.details)
 
-    @property
-    def top_n(self) -> int:
-        return self.base.level.n * 3 ** len(self.details)
-
-
-def pyramid_m(n0: int, theta: float) -> int:
-    """The shared ramp parameter m = floor(theta * n0) of a pyramid based at n0."""
-    m = VPLevel.from_theta(n0, theta).m
-    if n0 * (1.0 - theta) <= 1.0:
-        raise ValueError(f"base resolution n0={n0} too small for theta={theta} "
-                         f"(need n0 > 1/(1-theta))")
-    return m
-
 
 def decompose_multi(samples, n0: int, levels: int, theta: float) -> MultiDecomposition:
     """Project samples taken on the Chebyshev grid of size n0 * 3**levels and
     run ``levels`` one-step splits down to the base resolution."""
-    top = VPLevel(n0 * 3 ** levels, _chain_m(n0, levels, theta))
+    top = _chain_top(n0, levels, theta)
     x = _node_coords(_vector(samples, top.n, "samples"), top, False)
     return MultiDecomposition(theta, *_split_chain(x, top.m, levels))
 
 
-def _chain_m(n0: int, levels: int, theta: float) -> int:
-    """The shared m of a chain of ``levels`` splits based at n0, after the
-    checks that must pass before n0 * 3**levels sizes anything."""
+def _chain_top(n0: int, levels: int, theta: float) -> VPLevel:
+    """The top level (n0 * 3**levels, m) of a chain of ``levels`` splits based at n0, all
+    sharing m = floor(theta * n0), after every check that must pass before it sizes anything."""
     if not _is_integer(levels):
         raise ValueError(f"level count must be an integer, got {levels!r}")
     if levels < 0:
         raise ValueError(f"level count must be nonnegative, got {levels}")
-    return pyramid_m(n0, theta)
+    m = VPLevel.from_theta(n0, theta).m
+    if n0 * (1.0 - theta) <= 1.0:
+        raise ValueError(f"base resolution n0={n0} too small for theta={theta} "
+                         f"(need n0 > 1/(1-theta))")
+    # Python ints, so that no numpy scalar wraps; as 3^L > 2^L, a long L is refused unformed
+    if levels >= sys.maxsize.bit_length() or int(n0) * 3 ** int(levels) > sys.maxsize:
+        raise ValueError(f"level count {levels} puts n0 * 3^L beyond an array's length")
+    return VPLevel(int(n0) * 3 ** int(levels), m)
 
 
 def reconstruct_multi(decomp: MultiDecomposition) -> ScalingCoeffs:
@@ -151,9 +146,9 @@ def reconstruct_multi(decomp: MultiDecomposition) -> ScalingCoeffs:
 def redecompose(top: ScalingCoeffs, decomp: MultiDecomposition) -> MultiDecomposition:
     """Run the pyramid stage on existing top-level coefficients, mirroring the
     level chain of ``decomp`` (with no level to split, top is the base)."""
-    if top.level.n != decomp.top_n:
-        raise PyramidError(
-            f"top coefficients at n={top.level.n}, pyramid expects {decomp.top_n}")
+    n = _chain_top(decomp.base.level.n, decomp.levels, decomp.theta).n
+    if top.level.n != n:
+        raise PyramidError(f"top coefficients at n={top.level.n}, pyramid expects {n}")
     if top.level.m != decomp.base.level.m:
         raise PyramidError(f"top level {top.level} and base level {decomp.base.level} differ in m")
     parts = _split_chain(dct(top.a), top.level.m, decomp.levels) if decomp.levels else (top, ())
@@ -245,10 +240,9 @@ def pyramid_from_json(text: str) -> MultiDecomposition:
     try:
         doc = json.loads(text)
         theta = _json_number(doc["theta"])
-        base = _own(ScalingCoeffs, VPLevel.from_theta(doc["n0"], theta), _json_numbers(doc["base"]))
+        m = _chain_top(doc["n0"], doc["L"], theta).m
+        base = _own(ScalingCoeffs, VPLevel(doc["n0"], m), _json_numbers(doc["base"]))
         entries = doc["details"]
-        if not _is_integer(doc["L"]):
-            raise ValueError(f"level count L must be an integer, got {doc['L']!r}")
         if not isinstance(entries, list) or len(entries) != doc["L"]:
             raise ValueError(f"details must be a list of L={doc['L']!r} entries")
         return MultiDecomposition(theta, base, tuple(

@@ -51,6 +51,16 @@ def test_grid_sizes_must_be_integers(grid, size):
     assert len(grid(np.int64(4))) in (4, 5, 8)
 
 
+# at sys.maxsize itself, numpy's arange for the grid's points overflows to an empty array
+@pytest.mark.parametrize("size", [sys.maxsize, 2**70])
+@pytest.mark.parametrize("grid", [cheb_nodes, y_nodes, probe_grid,
+                                  lambda size: probe_values(np.ones(3), size)],
+                         ids=["cheb_nodes", "y_nodes", "probe_grid", "probe_values"])
+def test_grid_sizes_beyond_an_array_are_refused(grid, size):
+    with pytest.raises(ValueError, match=f"^grid size {size} is beyond an array's length"):
+        grid(size)
+
+
 @pytest.mark.parametrize("n", [4, 13, 40])
 def test_node_nesting(n):
     # node k of the n-grid is node 3k-1 of the 3n-grid, to <= 1 ulp

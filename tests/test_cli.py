@@ -286,6 +286,16 @@ def test_decompose_reports_a_bad_level_chain(tmp_path, capsys, source, n0, level
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
+
+def test_decompose_refuses_a_level_count_beyond_an_array_at_once(tmp_path):
+    # 81 * 3^(10^9) is refused before it is formed, which would take minutes
+    run = _run_cli("decompose --f sin --n0 81 --levels 1000000000 --theta 0.5 --out x.json",
+                   tmp_path, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reconstruct_level_chain_mismatch(tmp_path):
     pyr = tmp_path / "pyr.json"
     assert main(["decompose", "--f", "sin", "--n0", "5", "--levels", "1",
@@ -544,18 +554,22 @@ _README_INVOCATIONS = [
 ]
 
 
-def test_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
-    assert build_parser() is build_parser()
-    # the reference: one fresh process per invocation, run in its own directory, so the
-    # package's location goes on its path as an absolute one
+def _run_cli(line: str, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """``vpwave <line>`` in a fresh process run in ``cwd``, so the package's location
+    goes on its path as an absolute one."""
     package_root = str(pathlib.Path(vpwave.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "vpwave.cli", *line.split()], cwd=cwd,
+                          env=env, capture_output=True, text=True, **kwargs)
+
+
+def test_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    # the reference: one fresh process per invocation, run in its own directory
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    printed = [subprocess.run([sys.executable, "-m", "vpwave.cli", *line.split()], cwd=fresh,
-                              env=env, capture_output=True, text=True, check=True).stdout
-               for line in _README_INVOCATIONS]
+    printed = [_run_cli(line, fresh, check=True).stdout for line in _README_INVOCATIONS]
     expected = {p.name: p.read_bytes() for p in fresh.iterdir()}
     assert len(expected) == 7  # the two sweeps write a sidecar each
 

@@ -1,3 +1,6 @@
+import json
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -264,6 +267,28 @@ def test_decompose_multi_validation():
 def test_decompose_multi_level_count_must_be_an_integer(levels):
     with pytest.raises(ValueError, match="level count must be an integer"):
         decompose_multi(np.zeros(15), 5, levels, 0.5)
+
+
+# the level count is checked before n0 * 3^L is formed: that power of a float count
+# overflows, one of 10^9 takes minutes, and one held as a numpy integer wraps around
+@pytest.mark.parametrize("n0, levels", [(81, 1e6), (81, 10**6), (81, 10**9),
+                                        (5, np.int64(50)), (5, np.int64(2**62))])
+def test_decompose_multi_refuses_a_top_size_beyond_an_array_at_once(n0, levels):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^level count (must be an integer, got )?{levels}"):
+        decompose_multi(np.zeros(3), n0, levels, 0.5)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("count, message", [(10**9, "level count 1000000000 puts n0 * 3^L"),
+                                            (-1, "level count must be nonnegative, got -1"),
+                                            (1.0, "level count must be an integer, got 1.0")])
+def test_pyramid_from_json_checks_the_level_count_first(count, message):
+    doc = {"theta": 0.5, "n0": 5, "L": count, "base": [0.0] * 5, "details": []}
+    start = time.perf_counter()
+    with pytest.raises(PyramidError, match=f"^bad pyramid document: {re.escape(message)}"):
+        pyramid_from_json(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decompose_multi_takes_a_numpy_level_count():

@@ -703,6 +703,21 @@ def test_proj_kernel_takes_scalar_points_only(x, y):
         proj_kernel(L136, x, y)
 
 
+# when m = theta n exactly, lambda-bar does not depend on n, and it peaks at x = 1 on
+# these levels; theta = 1/2 gives sqrt 2
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+def test_lambda_bar_does_not_depend_on_n_at_a_fixed_ratio(theta):
+    values = []
+    for n in (20, 100, 1000):
+        level = VPLevel(n, round(theta * n))
+        values.append(lebesgue_const(level, LebesgueKind.LAMBDA_BAR).value)
+        assert values[-1] == pytest.approx(lebesgue_fn(level, LebesgueKind.LAMBDA_BAR, 1.0),
+                                           rel=1e-13, abs=0)
+    assert values == pytest.approx([values[0]] * 3, rel=1e-13, abs=0)
+    if theta == 0.5:
+        assert values[0] == pytest.approx(np.sqrt(2.0), rel=1e-13, abs=0)
+
+
 def test_lebesgue_const_reports():
     for kind in LebesgueKind:
         rep = lebesgue_const(L136, kind, grid_size=1000)
@@ -719,7 +734,8 @@ def test_lebesgue_const_reports():
                                                (999.5, "must be an integer, got 999.5"),
                                                (2000.0, "must be an integer, got 2000.0"),
                                                (0, "must be positive, got 0"),
-                                               (999, "must be at least 1000, got 999")])
+                                               (999, "must be at least 1000, got 999"),
+                                               (2**70, f"{2**70} is beyond an array's length")])
 def test_lebesgue_const_checks_the_grid_size_is_an_integer_first(grid_size, message):
     for kind in LebesgueKind:
         with pytest.raises(ValueError, match=f"^grid size {re.escape(message)}$"):

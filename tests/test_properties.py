@@ -26,7 +26,6 @@ from vpwave.mra import (
     decompose_multi,
     decompose_step,
     pyramid_from_json,
-    pyramid_m,
     pyramid_to_json,
     reconstruct_multi,
     reconstruct_step,
@@ -82,6 +81,13 @@ def test_rotation_is_orthogonal_and_moves_only_the_pairs(level, stack, extra, se
     assert max_dev(rotate(y, level, inverse=True), x) <= 1e-15 * np.abs(x).max()
 
 
+def _shared_m(n0, theta):
+    """A pyramid's shared m = floor(theta * n0), or None where (n0, m) is no base level:
+    one needs 0 < m < n0 and n0 (1 - theta) > 1."""
+    m = math.floor(theta * n0)
+    return m if 0 < m < n0 and n0 * (1.0 - theta) > 1.0 else None
+
+
 # the pyramid keeps V's coordinates between levels; it must still invert, split
 # the energy and agree with chaining the public one-step split, which passes
 # through node coefficients at every level; the examples pin m = 1 and L = 0
@@ -92,9 +98,8 @@ def test_rotation_is_orthogonal_and_moves_only_the_pairs(level, stack, extra, se
 @example(n0=3, levels=4, theta=0.5, seed=0)
 @example(n0=30, levels=0, theta=0.9, seed=1)
 def test_pyramid_round_trip_energy_and_chained_steps(n0, levels, theta, seed):
-    try:
-        m = pyramid_m(n0, theta)
-    except ValueError:
+    m = _shared_m(n0, theta)
+    if m is None:
         return
     samples = np.random.default_rng(seed).standard_normal(n0 * 3 ** levels)
     decomp = decompose_multi(samples, n0, levels, theta)
@@ -125,10 +130,7 @@ def test_pyramid_round_trip_energy_and_chained_steps(n0, levels, theta, seed):
        seed=st.integers(0, 2**32 - 1))
 @example(n0=5, theta=0.5, levels=1, broken=1, off=3, seed=0)
 def test_pyramid_accepted_iff_chain_holds_and_survives_json(n0, theta, levels, broken, off, seed):
-    try:
-        shared = pyramid_m(n0, theta)
-    except ValueError:
-        shared = None
+    shared = _shared_m(n0, theta)
     ms = [shared or 1] * (levels + 1)
     if 0 <= broken <= levels:
         ms[broken] = min(off, n0 - 1)
@@ -159,9 +161,8 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16
 
 def _edge_pyramid(n0, theta, levels, pool, seed):
     """A pyramid with coefficients drawn from ``pool``, or None for a base level too small."""
-    try:
-        m = pyramid_m(n0, theta)
-    except ValueError:
+    m = _shared_m(n0, theta)
+    if m is None:
         return None
     rng = np.random.default_rng(seed)
     base = ScalingCoeffs(VPLevel(n0, m), rng.choice(pool, n0))
