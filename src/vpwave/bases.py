@@ -18,8 +18,9 @@ and W through one expansion, _from_w, of its coordinates at degrees n..3n-1.
 The Chebyshev expansion of orthonormal coefficients is _from_v of their DCT
 (_from_w of detail_analysis for W).  Node values reach V through one map,
 _node_coords, sqrt(pi/n) times their DCT with the ramp multiplied by the norms
-nu_j (interpolant) or divided by them (discrete projection); it, the q_r, the
-q~_r and the coefficient transforms are all that add filters.scale_norms.
+nu_j (interpolant) or divided by them (discrete projection); it, scaling_synthesis
+(the projection map's transpose over the q_r), the q_r and the q~_r are all
+that add filters.scale_norms.
 The W transforms each work in one 3n buffer of their own, folded (_fold) or
 mirrored, scaled (_scale_fold) and transformed in place; no caller's array is
 written.  Every basis element is exported as its array of p-coefficients.
@@ -129,16 +130,10 @@ def _from_w(s, level: VPLevel, norms: bool = False) -> np.ndarray:
 # coefficient transforms: node-indexed <-> degree-indexed
 # ---------------------------------------------------------------------------
 
-def scaling_analysis(u, level: VPLevel) -> np.ndarray:
-    """Coefficients over the unnormalized q_r of sum_k u_k (orthonormal scaling
-    function k): a DCT with the ramp degrees n-j, 0 < j < m, divided by nu_j."""
-    return scale_norms(dct(_last_axis(u, level.n)), level, inverse=True)
-
-
 def scaling_synthesis(t, level: VPLevel) -> np.ndarray:
-    """Transpose of scaling_analysis: the inner products <f, q_r> of f in V to its
-    coefficients over the orthonormal scaling functions (the inverse of
-    scaling_analysis only where the norms are 1)."""
+    """The inner products <f, q_r> of f in V to its coefficients over the orthonormal scaling
+    functions: the transpose of the projection's node map over the unnormalized q_r, sqrt(n/pi)
+    _node_coords(., level, False) (its inverse only where the norms are 1)."""
     return idct(scale_norms(_last_axis(t, level.n).copy(), level, inverse=True))
 
 

@@ -330,11 +330,13 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
         raise ValueError(f"grid size must be at least 1000, got {grid_size}")
     deg = level.n + level.m - 1
     step = max([1] + [k for k in range(2, grid_size // (16 * deg) + 1) if grid_size % k == 0])
-    if kind is LebesgueKind.LAMBDA:  # fine-grid points, so that lambda there is the grid's
-        coarse_x = probe_grid(grid_size)[::step][: (grid_size // step + 1) // 2 + 1]
+    # the coarse half grid as fine-grid indices, to ceil((M/L)/2); a point j is cos(j pi / M)
+    jc = step * np.arange((grid_size // step + 1) // 2 + 1)
+    if kind is LebesgueKind.LAMBDA:
+        coarse_x = np.cos(jc * (np.pi / grid_size))
         coarse = np.concatenate([_lambda_bound(b, vals)
                                  for b, vals in _lambda_blocks(level, coarse_x)])
-        seed = np.argmax(coarse[: grid_size // 2 // step + 1])  # not a mirror point
+        seed = np.argmax(coarse[jc <= grid_size // 2])  # not a mirror point
         (value,), missed = _lambda_polish(*next(_lambda_blocks(level, coarse_x[[seed]])))
         slack = 0.0  # the bounds hold their own roundoff
     else:  # basis rows on the probe grid: lebesgue_fn is 4-9x slower at M = 10^4, n = 20..170
@@ -354,14 +356,14 @@ def lebesgue_const(level: VPLevel, kind: LebesgueKind,
     d = (deg * np.pi * step / grid_size) ** 2 / 8
     rise = d / (1 - d) * coarse.max() + slack
     top = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + rise >= value)
-    j = np.add.outer(top * step, np.arange(1, step)).ravel()
+    j = np.add.outer(jc[top], np.arange(1, step)).ravel()
     if kind is LebesgueKind.LAMBDA:  # its coarse values are bounds: the points that reach value
-        j = np.append(j, np.flatnonzero(coarse >= value) * step)
+        j = np.append(j, jc[coarse >= value])
     j = j[j <= grid_size // 2]  # the last interval of an odd coarse grid straddles x = 0
     xs = np.cos(j * (np.pi / grid_size))
     if kind is LebesgueKind.LAMBDA:  # the seed point is polished once, and a block's one
         # polish takes the points whose bound reaches the largest value so far
-        for b, vals in _lambda_blocks(level, xs[j != seed * step]):
+        for b, vals in _lambda_blocks(level, xs[j != jc[seed]]):
             top = _lambda_bound(b, vals) >= value
             part, count = _lambda_polish(b[:, top], vals[top])
             value, missed = part.max(initial=value), missed + count

@@ -6,7 +6,8 @@ basis columns and their norms are spelled out entry by entry, so every
 fast-versus-dense check compares two different code paths.  Levels are
 passed as any object with integer attributes ``n`` and ``m``.
 
-The high-precision oracles (``series_mp``, ``lambda_mp``) work in ``mpmath``,
+The high-precision oracles (``series_mp``, ``lambda_mp`` and the end-point
+values ``lambda_bar_end_mp`` and ``lambda_tilde_end_mp``) work in ``mpmath``,
 and ``pyramid_ld`` in long double.  ``remez_bracket`` brackets the best uniform
 error of a polynomial degree on the probe grid by Remez's exchange.
 
@@ -302,6 +303,35 @@ def lambda_mp(level, x: float, dps: int = 30) -> float:
                                         solver="anderson"))
         ends.append(mpmath.pi)
         return float(mpmath.fsum(abs(anti(u) - anti(v)) for u, v in zip(ends, ends[1:])))
+
+
+def _end_angles(n: int) -> list:
+    """The node angles t_k = (2k-1) pi / (2n), k = 1..n, in mpmath."""
+    return [(2 * k - 1) * mpmath.pi / (2 * n) for k in range(1, n + 1)]
+
+
+def lambda_bar_end_mp(level, dps: int = 30) -> float:
+    """Interpolatory Lebesgue function at x = +-1 in ``dps`` digits.  There the interpolating
+    scaling functions are the de la Vallee Poussin kernel at the nodes, a difference of two
+    Fejer kernels, so it is (1/(2mn)) sum_k |sin(m t_k)| / sin^2(t_k / 2)."""
+    n, m = level.n, level.m
+    with mpmath.workdps(dps):
+        return float(mpmath.fsum(abs(mpmath.sin(m * t)) / mpmath.sin(t / 2) ** 2
+                                 for t in _end_angles(n)) / (2 * m * n))
+
+
+def lambda_tilde_end_mp(level, dps: int = 30) -> float:
+    """Node-sum Lebesgue function at x = +-1 in ``dps`` digits: at the nodes p_{n+j} = -p_{n-j},
+    so the kernel's sections there need only each degree's weight w_r in V, w_{n-j} =
+    2mj / (m^2 + j^2) for 0 < j < m and 1 for every other r < n, and it is
+    (1/n) sum_k |1 + 2 sum_{r=1}^{n-1} w_r cos(r t_k)|."""
+    n, m = level.n, level.m
+    with mpmath.workdps(dps):
+        w = [mpmath.mpf(2 * m * (n - r)) / (m * m + (n - r) ** 2) if n - r < m else 1
+             for r in range(1, n)]
+        return float(mpmath.fsum(abs(1 + 2 * mpmath.fsum(w[r - 1] * mpmath.cos(r * t)
+                                                          for r in range(1, n)))
+                                 for t in _end_angles(n)) / n)
 
 
 def remez_bracket(f, degree: int, grid_size: int):

@@ -11,6 +11,7 @@ from oracles import analysis_matrices, detail_transform, scaling_transform
 from util import (
     max_dev,
     quad_gram,
+    scaling_analysis,
     scaling_interp_matrix,
     scaling_ortho_matrix,
     split_matrices,
@@ -112,12 +113,7 @@ def test_criterion_4_perfect_reconstruction(n3):
 def test_criterion_5_fast_dense_equivalence_and_speed():
     # agreement at oracle scale
     rng = np.random.default_rng(5)
-    from vpwave.bases import (
-        detail_analysis,
-        detail_synthesis,
-        scaling_analysis,
-        scaling_synthesis,
-    )
+    from vpwave.bases import detail_analysis, detail_synthesis, scaling_synthesis
 
     level = VPLevel(13, 6)
     u = rng.standard_normal(13)

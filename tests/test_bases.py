@@ -14,6 +14,7 @@ from util import (
     detail_spread,
     max_dev,
     quad_gram,
+    scaling_analysis,
     scaling_interp_matrix,
     scaling_ortho_matrix,
     wavelet_interp_matrix,
@@ -32,7 +33,6 @@ from vpwave.bases import (
     detail_basis,
     detail_to_cheb,
     ortho_to_values,
-    scaling_analysis,
     scaling_interp,
     scaling_ortho,
     scaling_to_cheb,

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import approx_norms_sq, detail_norms_sq, detail_scatter
-from util import approx_spread, detail_spread
+from util import approx_spread, detail_spread, scaling_analysis
 
-from vpwave.bases import (
-    detail_analysis,
-    scaling_analysis,
-    scaling_synthesis,
-    wavelet_interp,
-)
+from vpwave.bases import detail_analysis, scaling_synthesis, wavelet_interp
 from vpwave.chebyshev import cheb_nodes, eval_p, y_nodes
 from vpwave.filters import VPLevel, ramp, scale_norms
 

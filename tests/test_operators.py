@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from oracles import fourier_proj as dense_fourier_proj
-from oracles import approx_norms_sq, gauss_cheb_quad, lambda_mp, lebesgue_tables, remez_bracket
+from oracles import (approx_norms_sq, gauss_cheb_quad, lambda_bar_end_mp, lambda_mp,
+                     lambda_tilde_end_mp, lebesgue_tables, remez_bracket)
 from util import max_dev, scaling_ortho_matrix
 
 from vpwave.bases import (
@@ -452,6 +453,31 @@ def test_lebesgue_const_refines_no_mirror_point(monkeypatch, level, grid_size, s
     assert got == pytest.approx(top, rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("level, grid_size, count", [
+    (L136, 2000, 201), (VPLevel(22, 11), 10000, 314), (VPLevel(5, 2), 1001, 73),
+    (VPLevel(6, 4), 1001, 502)], ids=str)
+def test_lebesgue_const_takes_the_coarse_half_grid_of_the_probe_grid(monkeypatch, level,
+                                                                    grid_size, count):
+    # coarse grids of 400 points (L = 5), 625 (L = 16), 143 (L = 7) and, as D = 9 leaves no
+    # divisor of 1001, the whole odd grid (L = 1): its half runs to ceil((M/L)/2), so 1001
+    # needs 502 points, where floor(M/2)+1 would drop the last.  lambda bounds those points,
+    # the probe grid's own to the bit, and the node sums are taken on the grid of M/L
+    step = _coarse_step(level, grid_size)
+    expected = probe_grid(grid_size)[::step][:count]
+    assert count == -(-(grid_size // step) // 2) + 1
+    points, sizes = [], []
+    blocks, sums = operators._lambda_blocks, operators._node_sums
+    monkeypatch.setattr(operators, "_lambda_blocks",
+                        lambda level, xs: points.append(xs) or blocks(level, xs))
+    monkeypatch.setattr(operators, "_node_sums",
+                        lambda rows, n, size: sizes.append(size) or sums(rows, n, size))
+    lebesgue_const(level, LebesgueKind.LAMBDA, grid_size)
+    assert points[0].shape == (count,) and points[0].tobytes() == expected.tobytes()
+    for kind in NODE_KINDS:
+        lebesgue_const(level, kind, grid_size)
+    assert sizes == [grid_size // step] * 2
+
+
 def test_lebesgue_const_finds_the_maximum_between_coarse_points():
     # lambda-tilde at (13, 6) on grid 2000 is coarse at L = 5; the grid maximum, at j = 846,
     # lies between coarse points and 2.5e-4 relative above their maximum
@@ -704,7 +730,8 @@ def test_proj_kernel_takes_scalar_points_only(x, y):
 
 
 # when m = theta n exactly, lambda-bar does not depend on n, and it peaks at x = 1 on
-# these levels; theta = 1/2 gives sqrt 2
+# these levels, where it has a closed form (tests/oracles); theta = 1/2 gives sqrt 2, as
+# every |sin(m t_k)| is 1/sqrt 2 and sum_k csc^2(t_k/2) = 2 n^2
 @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
 def test_lambda_bar_does_not_depend_on_n_at_a_fixed_ratio(theta):
     values = []
@@ -713,9 +740,35 @@ def test_lambda_bar_does_not_depend_on_n_at_a_fixed_ratio(theta):
         values.append(lebesgue_const(level, LebesgueKind.LAMBDA_BAR).value)
         assert values[-1] == pytest.approx(lebesgue_fn(level, LebesgueKind.LAMBDA_BAR, 1.0),
                                            rel=1e-13, abs=0)
+        assert values[-1] == pytest.approx(lambda_bar_end_mp(level), rel=1e-14, abs=0)
     assert values == pytest.approx([values[0]] * 3, rel=1e-13, abs=0)
     if theta == 0.5:
         assert values[0] == pytest.approx(np.sqrt(2.0), rel=1e-13, abs=0)
+        assert lambda_bar_end_mp(VPLevel(1000, 500)) == np.sqrt(2.0)
+
+
+END_LEVELS = [VPLevel(n, m) for n in (2, 5, 13, 20, 40) for m in sorted({1, n // 2, n - 1})]
+
+
+@pytest.mark.parametrize("level", END_LEVELS + [VPLevel(30, 10)], ids=str)
+def test_node_kinds_at_the_ends_meet_their_exact_forms(level):
+    # at x = +-1 lambda-bar is a sum of de la Vallee Poussin means at the nodes, and
+    # lambda-tilde a cosine sum weighted by each degree's weight in V (tests/oracles, in
+    # mpmath, without a DCT); a constant, the maximum over a grid that holds x = 1, is at
+    # least its end value
+    for kind, oracle in ((LebesgueKind.LAMBDA_BAR, lambda_bar_end_mp),
+                         (LebesgueKind.LAMBDA_TILDE, lambda_tilde_end_mp)):
+        end = oracle(level)
+        for x in (1.0, -1.0):
+            assert lebesgue_fn(level, kind, x) == pytest.approx(end, rel=1e-14, abs=0)
+        assert lebesgue_const(level, kind).value >= end * (1 - 1e-14)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+def test_lambda_bar_at_the_end_meets_its_closed_form_at_n_10000(theta):
+    level = VPLevel.from_theta(10 ** 4, theta)
+    assert lebesgue_fn(level, LebesgueKind.LAMBDA_BAR, 1.0) == pytest.approx(
+        lambda_bar_end_mp(level), rel=1e-14, abs=0)
 
 
 def test_lebesgue_const_reports():

@@ -8,6 +8,7 @@ import numpy as np
 
 from vpwave.bases import (
     ScalingCoeffs,
+    _node_coords,
     approx_basis,
     detail_basis,
     scaling_interp,
@@ -84,6 +85,12 @@ BAD_F64LE_PYRAMIDS = [
     _level0_pyramid(f64le([0.0, 0.0, float("nan"), 0.0, 0.0])),
     _level0_pyramid(f64le([0.0, 0.0, 0.0, 0.0, float("inf")])),
 ]
+
+
+def scaling_analysis(u, level):
+    """Coefficients over the unnormalized q_r of sum_k u_k (orthonormal scaling function k):
+    sqrt(n/pi) times the discrete projection's node map, bases._node_coords."""
+    return np.sqrt(level.n / np.pi) * _node_coords(u, level, False)
 
 
 def max_dev(actual, expected):
